@@ -7,7 +7,8 @@ process, so the measured sweep *always* performs a recovery.
 
 from conftest import assert_and_report
 
-from repro.experiments import e13_availability
+from repro.experiments.common import RunConfig
+from repro.experiments.runner import run_experiment
 from repro.faults.driver import ChaosDriver
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
@@ -41,4 +42,4 @@ def test_e13_chaos_claims_and_recovery_cost(benchmark):
     value = benchmark(crash_then_recover)
     assert value == 7  # recovered from the checkpoint every round
 
-    assert_and_report(e13_availability.run(quick=True))
+    assert_and_report(run_experiment("e13", RunConfig(quick=True)))

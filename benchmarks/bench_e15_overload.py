@@ -12,7 +12,8 @@ from conftest import assert_and_report
 
 from repro.core.runtime import RetryPolicy
 from repro.errors import Overloaded
-from repro.experiments import e15_overload
+from repro.experiments.common import RunConfig
+from repro.experiments.runner import run_experiment
 from repro.flow.config import FlowConfig
 from repro.metrics.counters import ComponentKind
 from repro.system.legion import LegionSystem, SiteSpec
@@ -60,4 +61,4 @@ def test_e15_overload_claims_and_shed_cost(benchmark, flow_system):
     # capacity 1 + queue 4 admit five of every burst; the rest shed.
     assert served == 5 and shed == BURST - 5
 
-    assert_and_report(e15_overload.run(quick=True))
+    assert_and_report(run_experiment("e15", RunConfig(quick=True)))

@@ -17,7 +17,8 @@ import pytest
 from conftest import assert_and_report
 
 from repro.core.runtime import RetryPolicy
-from repro.experiments import e17_governor
+from repro.experiments.common import RunConfig
+from repro.experiments.runner import run_experiment
 from repro.faults.log import FaultLog
 from repro.flow.config import FlowConfig
 from repro.health import Band, Governor, GovernorConfig
@@ -75,4 +76,4 @@ def test_policy_apply_cost_at_worst_band(benchmark, governed_system):
 
 
 def test_e17_claims_hold():
-    assert_and_report(e17_governor.run(quick=True))
+    assert_and_report(run_experiment("e17", RunConfig(quick=True)))

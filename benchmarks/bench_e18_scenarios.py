@@ -11,7 +11,8 @@ per-cell cost the sweep wall-clock tracks.
 import pytest
 from conftest import assert_and_report
 
-from repro.experiments import e18_scenarios
+from repro.experiments.common import RunConfig
+from repro.experiments.runner import run_experiment
 from repro.scenarios import compile_events, get_scenario, stream_stats
 
 
@@ -40,4 +41,4 @@ def test_mega_backend_scenario_cost(benchmark):
 
 
 def test_e18_claims_hold():
-    assert_and_report(e18_scenarios.run(quick=True))
+    assert_and_report(run_experiment("e18", RunConfig(quick=True)))

@@ -7,7 +7,8 @@ the claim table is produced by the full quick sweep.
 
 from conftest import assert_and_report
 
-from repro.experiments import e9_scaling
+from repro.experiments.common import RunConfig
+from repro.experiments.runner import run_experiment
 
 
 def test_e9_scaling_claims_and_steady_state_call(benchmark, small_system):
@@ -21,4 +22,4 @@ def test_e9_scaling_claims_and_steady_state_call(benchmark, small_system):
     value = benchmark(steady_state_call)
     assert value >= 1
 
-    assert_and_report(e9_scaling.run(quick=True))
+    assert_and_report(run_experiment("e9", RunConfig(quick=True)))

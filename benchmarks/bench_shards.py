@@ -50,11 +50,13 @@ def usable_cpus() -> int:
 def measure_serial_units(quick: bool = False, seed: int = 0) -> list:
     """Run every E15 shard unit in-process; [(unit, wall seconds)]."""
     from repro.experiments import e15_overload
+    from repro.experiments.common import RunConfig
 
     walls = []
-    for unit in e15_overload.shard_units(quick=quick):
+    cfg = RunConfig(quick=quick, seed=seed)
+    for unit in e15_overload.shard_units(cfg):
         started = time.perf_counter()
-        e15_overload.shard_measure(unit, quick=quick, seed=seed)
+        e15_overload.shard_measure(unit, cfg)
         walls.append((unit, time.perf_counter() - started))
     return walls
 
@@ -72,7 +74,7 @@ def measure_pool_wall(shards: int, quick: bool = False, seed: int = 0) -> float:
     from repro.experiments import runner
 
     started = time.perf_counter()
-    runner.run_one("e15", quick=quick, seed=seed, shards=shards)
+    runner.run_one("e15", runner.RunConfig(quick=quick, seed=seed), shards=shards)
     return time.perf_counter() - started
 
 

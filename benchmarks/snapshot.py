@@ -80,10 +80,11 @@ def snapshot_e15_goodput() -> dict:
     4x past it.  Recorded as a throughput-style metric (higher is better)
     so check_regression can hold the line on it like any ops/sec number.
     """
-    from repro.experiments import e15_overload  # deferred: imports numpy
+    from repro.experiments.common import RunConfig
+    from repro.experiments.runner import run_experiment  # deferred: imports numpy
 
     started = time.perf_counter()
-    result = e15_overload.run(quick=True, seed=0)
+    result = run_experiment("e15", RunConfig(quick=True, seed=0))
     wall = time.perf_counter() - started
     by_level = dict(
         zip(result.recorder.xs, result.recorder.series("flow_goodput"), strict=True)
@@ -107,9 +108,10 @@ def snapshot_e16_local_read() -> dict:
     local reads start crossing the WAN, it collapses by ~800x.
     """
     from repro.experiments import e16_georeplication as e16
+    from repro.experiments.common import RunConfig
 
     started = time.perf_counter()
-    out = e16.shard_measure(("locality", e16.N_SITES), quick=True, seed=0)
+    out = e16.shard_measure(("locality", e16.N_SITES), RunConfig(quick=True, seed=0))
     wall = time.perf_counter() - started
     local_ms = out["local_mean"]
     return {
@@ -132,9 +134,10 @@ def snapshot_e17_governed_goodput() -> dict:
     the band walk ride along for context.
     """
     from repro.experiments import e17_governor as e17  # deferred import
+    from repro.experiments.common import RunConfig
 
     started = time.perf_counter()
-    out = e17.shard_measure("governed", quick=True, seed=0)
+    out = e17.shard_measure("governed", RunConfig(quick=True, seed=0))
     wall = time.perf_counter() - started
     by_phase = {p["phase"]: p for p in out["phases"]}
     return {
@@ -161,11 +164,12 @@ def snapshot_e18_scenario_matrix() -> dict:
     agreement and total delivered calls ride along for context.
     """
     from repro.experiments import e18_scenarios as e18
+    from repro.experiments.common import RunConfig
     from repro.scenarios import scenario_names
 
     started = time.perf_counter()
     partials = [
-        e18.shard_measure((name, "plain", 0.0), quick=True, seed=0)
+        e18.shard_measure((name, "plain", 0.0), RunConfig(quick=True, seed=0))
         for name in scenario_names()
     ]
     wall = time.perf_counter() - started

@@ -20,9 +20,14 @@ E10  bootstrap: bring-up from nothing (4.2.1)
 E11  site autonomy: magistrates/hosts refuse untrusted work (2.2, Fig. 9)
 E12  LOID allocation: uniqueness and structure at scale (3.2)
 E13  availability under scheduled chaos: self-healing runtime (4.1.4)
+E14  load-adaptive class cloning (5.2.2)
+E15  goodput under overload: admission control + backpressure
+E16  geo-replication: locality, WAN traffic, repair that yields (4.3)
+E17  operating-mode governor: banded health + policy coupling
+E18  the scenario catalog across the subsystem matrix
 ===  ==========================================================
 
-Every module exposes ``run(quick=True, seed=0) -> ExperimentResult``.
+Run any of them with :func:`repro.experiments.runner.run_experiment`.
 """
 
 from repro.experiments.common import ExperimentResult, count_messages, populate

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.recorder import SeriesRecorder
@@ -11,6 +13,97 @@ from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
+
+
+def _flag(help: str, **argparse_kwargs: Any) -> Any:
+    """A RunConfig field that is also the CLI flag ``--<name>``."""
+    return field(default=None, metadata={"flag": dict(help=help, **argparse_kwargs)})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything one experiment run is parameterised by: the CLI flags.
+
+    The runner builds its parser from the ``_flag`` fields and hands the
+    same frozen config to every experiment; each reads only the fields
+    it uses and ignores the rest.  ``None`` means "the experiment's
+    default".  Construction validates, naming the offending flag: chaos
+    intensity may be 0 (a control run), every other value must be a
+    positive finite number.
+    """
+
+    quick: bool = True
+    seed: int = 0
+    trace: Optional[str] = _flag(
+        "record causal traces: trace-aware experiments audit their span "
+        "trees and write Chrome trace_event JSON under DIR (default: traces/)",
+        nargs="?",
+        const="traces",
+        metavar="DIR",
+    )
+    faults: Optional[float] = _flag(
+        "chaos intensity (fault events per 1000 simulated time units) for "
+        "fault-aware experiments: e13 then sweeps [0, RATE] instead of its "
+        "default levels",
+        type=float,
+        metavar="RATE",
+    )
+    report: Optional[str] = _flag(
+        "write machine-readable result artifacts (availability/FaultLog "
+        "JSON) under DIR (default: reports/) for experiments that support them",
+        nargs="?",
+        const="reports",
+        metavar="DIR",
+    )
+    autoscale: Optional[float] = _flag(
+        "top offered-load multiplier for autoscale-aware experiments: e14 "
+        "then sweeps powers of two up to MULT instead of its default 8x",
+        type=float,
+        metavar="MULT",
+    )
+    overload: Optional[float] = _flag(
+        "top offered-load multiplier for overload-aware experiments: e15 then "
+        "sweeps offered load up to MULT x capacity instead of its default 10x",
+        type=float,
+        metavar="MULT",
+    )
+    replicas: Optional[int] = _flag(
+        "top replica count for replication-aware experiments: e16 then sweeps "
+        "replica groups up to N members instead of its default 3 (one per "
+        "jurisdiction)",
+        type=int,
+        metavar="N",
+    )
+    governor: Optional[float] = _flag(
+        "storm offered-load multiplier for governor-aware experiments: e17 "
+        "then drives its storm phase at MULT x capacity instead of its "
+        "default 8x",
+        type=float,
+        metavar="MULT",
+    )
+    mega: Optional[int] = _flag(
+        "columnar mega-scale population for mega-aware experiments: e9 "
+        "appends a frame-at-once size ladder up to N objects, e14/e15 run "
+        "their sweeps over an N-object columnar population (requires the "
+        "numpy 'mega' extra)",
+        type=int,
+        metavar="N",
+    )
+
+    def __post_init__(self) -> None:
+        if self.faults is not None and not (
+            math.isfinite(self.faults) and self.faults >= 0
+        ):
+            raise ValueError(f"--faults must be a finite number >= 0, got {self.faults:g}")
+        for flag in ("overload", "autoscale", "replicas", "governor", "mega"):
+            value = getattr(self, flag)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"--{flag} must be a finite number > 0, got {value:g}")
+
+    @classmethod
+    def flags(cls) -> List[Any]:
+        """The fields that are CLI flags, in ``--help`` order."""
+        return [f for f in fields(cls) if "flag" in f.metadata]
 
 
 @dataclass
@@ -94,6 +187,16 @@ def export_trace(recorder, trace: str, experiment: str, seed: int) -> str:
     os.makedirs(trace, exist_ok=True)
     path = os.path.join(trace, f"{experiment.lower()}-seed{seed}.trace.json")
     write_chrome_trace(getattr(recorder, "spans", recorder), path)
+    return path
+
+
+def write_report(directory: str, filename: str, payload: Any) -> str:
+    """Write one ``--report`` artifact as sorted, indented JSON; returns
+    the path, which the experiment appends to its notes."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, filename)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
     return path
 
 

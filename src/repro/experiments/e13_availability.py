@@ -18,35 +18,17 @@ bit-identical per seed.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Optional
-
-from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult, uniform_sites
-from repro.faults.driver import ChaosDriver, eligible_hosts
-from repro.faults.log import FaultLog
-from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoverySweeper
+from repro.experiments.common import (
+    ExperimentResult,
+    RunConfig,
+    uniform_sites,
+    write_report,
+)
+from repro.experiments.stack import CHAOS_RETRY, ChaosSpec, StackSpec, build
 from repro.metrics.recorder import SeriesRecorder
 from repro.system.legion import LegionSystem
 from repro.workloads.apps import CounterImpl
 from repro.workloads.generators import TrafficDriver
-
-#: The patient policy chaos clients run: wide attempt budget, exponential
-#: backoff with seeded jitter, and both transient-failure modes retried --
-#: partitions (wait out the heal) and resolution failures (recovery may
-#: still be in flight).
-CHAOS_RETRY_POLICY = RetryPolicy(
-    max_attempts=12,
-    base_backoff=10.0,
-    backoff_factor=2.0,
-    max_backoff=300.0,
-    jitter=0.5,
-    budget=10_000.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
-)
 
 
 def _run_level(intensity: float, seed: int, quick: bool):
@@ -77,22 +59,18 @@ def _run_level(intensity: float, seed: int, quick: bool):
         system.new_client(f"e13-{i}", site=system.sites[i % len(system.sites)].name)
         for i in range(4)
     ]
-    for client in clients:
-        client.runtime.retry_policy = CHAOS_RETRY_POLICY
     rng = system.services.rng.stream("e13")
 
     system.reset_measurements()
-    log = FaultLog()
-    plan = FaultPlan.generate(
-        system.services.rng.stream("e13-faults"),
-        horizon=horizon,
-        intensity=intensity,
-        hosts=eligible_hosts(system),
-        sites=[s.name for s in system.sites],
-        objects=[str(loid) for loid in loids],
+    stack = build(
+        system,
+        StackSpec(
+            retry=CHAOS_RETRY,
+            faults=ChaosSpec("e13-faults", intensity=intensity, horizon=horizon),
+        ),
+        clients,
+        targets=loids,
     )
-    driver = ChaosDriver(system, plan, log)
-    sweeper = RecoverySweeper(system, interval=100.0)
     traffic = TrafficDriver(
         system.kernel,
         clients,
@@ -103,41 +81,33 @@ def _run_level(intensity: float, seed: int, quick: bool):
         think_time=10.0,
         timeout=250.0,
     )
-    driver.start()
-    sweeper.start()
     stats_fut = traffic.start()
     stats = system.kernel.run_until_complete(stats_fut, max_events=20_000_000)
-    sweeper.stop()
-    system.kernel.run()  # late chaos events, heals, and restores drain here
-    repair_messages = system.network.stats.messages_sent
 
-    # One final sweep per magistrate so losses after the traffic window are
-    # also repaired (and logged) before reconciliation.
-    for site in sorted(system.magistrates):
-        fut = system.spawn(system.magistrates[site].impl.sweep_hosts())
-        system.kernel.run_until_complete(fut)
+    def verify() -> bool:
+        # Every object answers with its checkpointed state.  A still-lost
+        # object is recovered by this very call (the reactive path), so
+        # reconciliation sees it too.
+        values = [system.call(binding.loid, "Get") for binding in objects]
+        return values == [i + 1 for i in range(len(objects))]
 
-    # Verification: every object answers with its checkpointed state.  A
-    # still-lost object is recovered by this very call (the reactive path),
-    # so reconciliation below sees it too.
-    state_intact = True
-    for i, binding in enumerate(objects):
-        value = system.call(binding.loid, "Get")
-        if value != i + 1:
-            state_intact = False
+    state_intact = stack.settle(verify)
+    log = stack.log
     return {
-        "system": system,
+        "intensity": intensity,
         "stats": stats,
-        "log": log,
-        "plan": plan,
+        "summary": log.summary(),
+        "lost": sorted(set(log.lost_objects())),
+        "recovered": sorted(set(log.recovered_objects())),
+        "fault_log_json": log.to_json(),
         "state_intact": state_intact,
-        "repair_messages": repair_messages,
+        "repair_messages": stack.drained_messages,
         "sim_clock": system.kernel.now,
         "sim_events": system.kernel.events_executed,
     }
 
 
-def shard_units(quick: bool = True, faults: Optional[float] = None) -> list:
+def shard_units(cfg: RunConfig) -> list:
     """The independent work units of one E13 sweep (one per intensity).
 
     Every level builds its own system, chaos plan, and fault log from
@@ -146,41 +116,17 @@ def shard_units(quick: bool = True, faults: Optional[float] = None) -> list:
     overhead against the level-0 control -- is cross-level, and that
     happens in :func:`shard_finish`.
     """
-    if faults is not None:
-        return [0.0, float(faults)]
-    return [0.0, 1.0, 3.0] if quick else [0.0, 0.5, 1.0, 2.0, 4.0]
+    if cfg.faults is not None:
+        return [0.0, float(cfg.faults)]
+    return [0.0, 1.0, 3.0] if cfg.quick else [0.0, 0.5, 1.0, 2.0, 4.0]
 
 
-def shard_measure(
-    intensity: float,
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-) -> dict:
+def shard_measure(intensity: float, cfg: RunConfig) -> dict:
     """Run one intensity; reduce the live system to a picklable partial."""
-    out = _run_level(intensity, seed, quick)
-    log = out["log"]
-    return {
-        "intensity": intensity,
-        "stats": out["stats"],
-        "summary": log.summary(),
-        "lost": sorted(set(log.lost_objects())),
-        "recovered": sorted(set(log.recovered_objects())),
-        "fault_log_json": log.to_json(),
-        "state_intact": out["state_intact"],
-        "repair_messages": out["repair_messages"],
-        "sim_clock": out["sim_clock"],
-        "sim_events": out["sim_events"],
-    }
+    return _run_level(intensity, cfg.seed, cfg.quick)
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
+def shard_finish(partials, cfg: RunConfig) -> ExperimentResult:
     """Merge level partials into the E13 result, in level order.
 
     Partials are consumed in :func:`shard_units` order regardless of
@@ -200,7 +146,7 @@ def shard_finish(
         ),
         recorder=recorder,
     )
-    levels = shard_units(quick=quick, faults=faults)
+    levels = shard_units(cfg)
     baseline_messages = None
     total_clock = 0.0
     total_events = 0
@@ -264,41 +210,11 @@ def shard_finish(
     )
     result.sim_clock = total_clock
     result.sim_events = total_events
-    if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e13-availability-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"seed": seed, "quick": quick, "levels": report_rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+    if cfg.report is not None:
+        path = write_report(
+            cfg.report,
+            f"e13-availability-seed{cfg.seed}.json",
+            {"seed": cfg.seed, "quick": cfg.quick, "levels": report_rows},
+        )
         result.notes = f"report: {path}"
     return result
-
-
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
-    """Sweep fault intensity; verify availability stays at 100%.
-
-    ``faults`` (the runner's ``--faults`` flag) replaces the sweep with
-    [0, faults]: a control level plus one chosen intensity.  ``report``
-    names a directory for the JSON availability/FaultLog artifact.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
-    """
-    partials = [
-        shard_measure(intensity, quick=quick, seed=seed, faults=faults)
-        for intensity in shard_units(quick=quick, faults=faults)
-    ]
-    return shard_finish(partials, quick=quick, seed=seed, faults=faults, report=report)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

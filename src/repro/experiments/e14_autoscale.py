@@ -24,18 +24,12 @@ state: byte-identical across --jobs 1 and --jobs N.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from typing import Optional
 
-from repro.autoscale import (
-    AutoscaleConfig,
-    CloneController,
-    ClonePoolRouter,
-    build_placement_agent,
-)
-from repro.experiments.common import ExperimentResult
+from repro.autoscale import AutoscaleConfig
+from repro.experiments.common import ExperimentResult, write_report
+from repro.experiments.stack import StackSpec, build
 from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
 from repro.system.legion import LegionSystem, SiteSpec
@@ -65,6 +59,18 @@ MAX_CLONES = 8
 WARMUP_BASE = 400.0
 WARMUP_PER_CLONE = 550.0
 
+#: The autoscaled arm: a CloneController over the hot class, placing
+#: clones through a LeastLoadedPlacementAgent.
+AUTOSCALED = StackSpec(
+    autoscale=AutoscaleConfig(
+        high_water=HIGH_WATER,
+        low_water=LOW_WATER,
+        cooldown=COOLDOWN,
+        tick=TICK,
+        max_clones=MAX_CLONES,
+    )
+)
+
 
 def _expected_members(level: int) -> int:
     total_rate = N_CLIENTS * level / BASE_INTERVAL
@@ -82,39 +88,24 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
     )
     hot = system.create_class("HotClass", factory=CounterImpl)
 
-    controller = None
     if autoscaled:
-        placement = build_placement_agent(system)
-        controller = CloneController(
-            system,
-            hot,
-            AutoscaleConfig(
-                high_water=HIGH_WATER,
-                low_water=LOW_WATER,
-                cooldown=COOLDOWN,
-                tick=TICK,
-                max_clones=MAX_CLONES,
-            ),
-            placement=placement,
-        )
-        controller.start()
+        stack = build(system, AUTOSCALED, hot=hot)
     else:
         system.call(hot.loid, "Clone")  # the hand-placed static baseline
+        stack = build(system, StackSpec(), hot=hot)
 
+    # Clone-aware clients route over GetClonePool() round-robin.
     clients = [
         system.new_client(f"e14-{i}", site=system.sites[i % len(system.sites)].name)
         for i in range(N_CLIENTS)
     ]
-    routers = [ClonePoolRouter(client, hot, refresh=20.0) for client in clients]
-    by_client = {id(c): r for c, r in zip(clients, routers, strict=True)}
-    for router in routers:
-        router.start()
+    stack.join(*clients)
 
     calls = {"n": 0}
 
     def choose_call(client):
         calls["n"] += 1
-        target = by_client[id(client)].choose()
+        target = stack.router_for(client).choose()
         if calls["n"] % CREATE_EVERY == 0:
             return (target, "Create", ({"no_delegate": True},))
         return (target, "CloneEpoch", ())
@@ -142,22 +133,9 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
     measure_end = system.kernel.now
     stats = system.kernel.run_until_complete(stats_fut, max_events=20_000_000)
     clone_count = system.call(hot.loid, "CloneCount")
+    stack.settle()  # the autoscaled pool drains back to zero clones here
 
-    drained_to_min = None
-    if autoscaled:
-        # Scale-down: with the traffic gone the pool must drain back.
-        # Each retirement costs a drain (up to RETIRE_DRAIN_BUDGET) plus a
-        # Deactivate, one per controller tick.
-        deadline = system.kernel.now + 6_000.0
-        while system.kernel.now < deadline and system.call(hot.loid, "CloneCount") > 0:
-            system.kernel.run(until=system.kernel.now + 100.0)
-        drained_to_min = system.call(hot.loid, "CloneCount") == 0
-        controller.stop()
-    for router in routers:
-        router.stop()
-    system.kernel.run()
-
-    actions = list(controller.actions) if controller else []
+    actions = list(stack.controller.actions) if autoscaled else []
     # Peak concurrent clones up to the end of the measured window: the
     # instantaneous count is noisy right at the scale thresholds (a pool
     # hovering on a watermark may have just grown or shrunk), the peak is
@@ -173,7 +151,7 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
         "max_load": max_load,
         "clone_count": clone_count,
         "peak_clones": peak,
-        "drained_to_min": drained_to_min,
+        "drained_to_min": stack.drained_to_min,
         "actions": actions,
         "sim_clock": system.kernel.now,
         "sim_events": system.kernel.events_executed,
@@ -282,12 +260,12 @@ def run(
         ),
         recorder=recorder,
     )
-    top = int(autoscale) if autoscale else 8
+    top = int(autoscale) if autoscale is not None else 8
     levels, level = [], 1
     while level <= max(2, top):
         levels.append(level)
         level *= 2
-    if mega:
+    if mega is not None:
         return _run_mega(quick, seed, levels, int(mega))
     total_clock, total_events = 0.0, 0
     report_rows = []
@@ -356,24 +334,16 @@ def run(
     result.sim_clock = total_clock
     result.sim_events = total_events
     if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e14-autoscale-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "seed": seed,
-                    "quick": quick,
-                    "autoscale_slope": auto_slope,
-                    "static_slope": static_slope,
-                    "levels": report_rows,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+        path = write_report(
+            report,
+            f"e14-autoscale-seed{seed}.json",
+            {
+                "seed": seed,
+                "quick": quick,
+                "autoscale_slope": auto_slope,
+                "static_slope": static_slope,
+                "levels": report_rows,
+            },
+        )
         result.notes = f"report: {path}"
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -32,21 +32,22 @@ across ``--jobs 1`` and ``--jobs N``.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.errors import LegionError, Overloaded
-from repro.experiments.common import ExperimentResult, export_trace, trace_recorder
-from repro.faults.log import FaultLog
-from repro.flow import FlowConfig
-from repro.metrics.counters import ComponentKind, MetricsRegistry
+from repro.experiments.common import (
+    ExperimentResult,
+    RunConfig,
+    export_trace,
+    trace_recorder,
+    write_report,
+)
+from repro.experiments.stack import StackSpec, build, serial_flow
+from repro.metrics.counters import MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
-from repro.simkernel.futures import gather
-from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.trace.audit import TraceAudit
 from repro.workloads.apps import SerialServiceImpl
+from repro.workloads.generators import OpenLoopDriver
 
 #: Exclusive service per Work() call; capacity is its reciprocal.
 SERVICE_TIME = 2.0
@@ -59,125 +60,48 @@ TIMEOUT = 60.0
 #: wait (<= 15 slots x 2 ms) + service + a few shed/pushback round trips.
 P99_BOUND = 200.0
 
-#: The flow arm's regime: serial admission (capacity 1 matches the
-#: service's own discipline), a bounded queue, pushback-capable shedding,
-#: and caller credit windows.  Application objects only -- infrastructure
-#: (agents, magistrates, hosts) is never shed.
-FLOW = FlowConfig(
-    capacity=1,
-    queue_limit=14,
-    service_estimate=SERVICE_TIME,
-    admit_kinds=frozenset({ComponentKind.APPLICATION}),
-    credit_window=8,
-)
+#: The two arms: identical except for the installed flow regime (serial
+#: admission, bounded queue, pushback sheds, caller credit windows).
+STACKS = {
+    "flow": StackSpec(flow=serial_flow(SERVICE_TIME)),
+    "baseline": StackSpec(),
+}
 
 
-def _all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def _settles(runtime) -> bool:
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
-
-
-def _drive(system, clients, target, interval: float, duration: float):
-    """Open-loop Work() traffic with a per-call outcome record.
-
-    Unlike :class:`~repro.workloads.generators.OpenLoopDriver` this keeps
-    (issue, settle, outcome) per call, because goodput and latency
-    percentiles need the raw samples, not just success counts.  Client
-    start phases are staggered across one interval so the offered load is
-    smooth rather than N-synchronised bursts.
-    """
-    kernel = system.kernel
-    records: List[Dict[str, Any]] = []
-
-    def one_call(client, rec):
-        try:
-            yield from client.runtime.invoke(target, "Work", timeout=TIMEOUT)
-            rec["outcome"] = "ok"
-        except Overloaded:
-            rec["outcome"] = "shed"
-        except LegionError as exc:
-            rec["outcome"] = "failed"
-            rec["error"] = type(exc).__name__
-        rec["done"] = kernel.now
-
-    def loop(client, offset):
-        if offset > 0.0:
-            yield Timeout(offset)
-        end = kernel.now + duration
-        calls = []
-        while kernel.now < end:
-            rec: Dict[str, Any] = {
-                "issue": kernel.now,
-                "done": None,
-                "outcome": "pending",
-            }
-            records.append(rec)
-            calls.append(
-                kernel.spawn(one_call(client, rec), name=f"e15-call-{client.loid}")
-            )
-            yield Timeout(interval)
-        for fut in calls:  # drain: every fired call must settle
-            yield fut
-
-    futures = [
-        kernel.spawn(
-            loop(client, i * interval / len(clients)),
-            name=f"e15-loop-{client.loid}",
-        )
-        for i, client in enumerate(clients)
-    ]
-    return gather(futures), records
-
-
-def _run_level(
-    level: int,
-    seed: int,
-    quick: bool,
-    flow: bool,
-    trace: Optional[str],
-) -> Dict[str, Any]:
+def _run_level(level: int, seed: int, quick: bool, arm: str, trace) -> Dict[str, Any]:
     measure = 300.0 if quick else 1_000.0
     warmup = 100.0
-    system = LegionSystem.build(
-        [SiteSpec("main", hosts=2)], seed=seed, flow=FLOW if flow else None
-    )
-    # The shed observation ledger: _shed_reply reports every shed logical
-    # request here, so the experiment can reconcile it against the
-    # metrics counters and the clients' wire-level shed replies.
-    system.services.fault_log = FaultLog()
-    recorder = trace_recorder(system, trace) if flow else None
+    spec = STACKS[arm]
+    system = LegionSystem.build([SiteSpec("main", hosts=2)], seed=seed, flow=spec.flow)
+    recorder = trace_recorder(system, trace)
     cls = system.create_class(
         "SerialService", factory=lambda: SerialServiceImpl(service_time=SERVICE_TIME)
     )
     instance = system.create_instance(cls.loid)
     clients = [system.new_client(f"e15-{i}") for i in range(N_CLIENTS)]
+    # The stack's FaultLog is the shed observation ledger: _shed_reply
+    # reports every shed logical request there, so the experiment can
+    # reconcile it against the metrics counters and the clients' wire-level
+    # shed replies.
+    stack = build(system, spec, clients)
 
+    # Open-loop Work() traffic; client start phases are staggered across
+    # one interval so the offered load is smooth rather than N-synchronised
+    # bursts.
     interval = N_CLIENTS / (level * CAPACITY)
+    driver = OpenLoopDriver(
+        system.kernel,
+        clients,
+        lambda _client: (instance.loid, "Work", ()),
+        interval,
+        warmup + measure,
+        timeout=TIMEOUT,
+        stagger=interval / N_CLIENTS,
+    )
     start = system.kernel.now
-    done, records = _drive(system, clients, instance.loid, interval, warmup + measure)
-    system.kernel.run_until_complete(done, max_events=50_000_000)
-    system.kernel.run()  # drain the service backlog and late replies
+    system.kernel.run_until_complete(driver.start(), max_events=50_000_000)
+    stack.settle()  # drain the service backlog and late replies
+    records = driver.records
 
     w0, w1 = start + warmup, start + warmup + measure
     ok_latencies = sorted(
@@ -185,23 +109,20 @@ def _run_level(
         for r in records
         if r["outcome"] == "ok" and w0 <= r["done"] <= w1
     )
-    outcomes = {"ok": 0, "shed": 0, "failed": 0}
-    for rec in records:
-        outcomes[rec["outcome"]] += 1
+    outcomes = driver.outcome_counts()
 
     metrics = system.services.metrics
     metrics_shed = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
-    faultlog_shed = sum(
-        1 for i in system.services.fault_log.observed if i.kind == "request-shed"
-    )
-    runtimes = _all_runtimes(system, clients)
-    wire_shed = sum(rt.stats.shed for rt in runtimes)
+    faultlog_shed = sum(1 for i in stack.log.observed if i.kind == "request-shed")
+    wire_shed = sum(rt.stats.shed for rt in system.runtimes(clients))
 
     audits: List[Any] = []
     trace_path = None
     if recorder is not None:
         audit = TraceAudit(recorder.spans)
-        audits.append(audit.admitted_load_bound(FLOW.capacity, prefix="application:"))
+        audits.append(
+            audit.admitted_load_bound(spec.flow.capacity, prefix="application:")
+        )
         audits.append(
             audit.shed_reconciles_with(
                 metrics.labelled_counts(MetricsRegistry.SHED),
@@ -222,7 +143,7 @@ def _run_level(
         "metrics_shed": metrics_shed,
         "faultlog_shed": faultlog_shed,
         "wire_shed": wire_shed,
-        "settled": all(_settles(rt) for rt in runtimes),
+        "settled": system.settled(clients),
         "audits": audits,
         "trace_path": trace_path,
         "sim_clock": system.kernel.now,
@@ -230,11 +151,7 @@ def _run_level(
     }
 
 
-def shard_units(
-    quick: bool = True,
-    overload: Optional[float] = None,
-    mega: Optional[int] = None,
-) -> list:
+def shard_units(cfg: RunConfig) -> list:
     """The independent work units of one E15 sweep.
 
     Each unit is one (offered-load level, arm) pair; every unit builds
@@ -244,20 +161,13 @@ def shard_units(
     ``--mega N`` -- the measure step then runs the columnar overload
     kernel over an N-object frame instead of the live testbed.
     """
-    top = max(2, int(overload)) if overload else 10
-    base = [1, 2, 4] if quick else [1, 2, 3, 4, 6, 8]
+    top = max(2, int(cfg.overload)) if cfg.overload is not None else 10
+    base = [1, 2, 4] if cfg.quick else [1, 2, 3, 4, 6, 8]
     levels = [lvl for lvl in base if lvl < top] + [top]
     return [(level, arm) for level in levels for arm in ("flow", "baseline")]
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    overload: Optional[float] = None,
-    trace: Optional[str] = None,
-    mega: Optional[int] = None,
-) -> Dict[str, Any]:
+def shard_measure(unit, cfg: RunConfig) -> Dict[str, Any]:
     """Run one (level, arm) unit; the returned dict is picklable.
 
     The trace export (when tracing) happens worker-side; only its path
@@ -265,26 +175,20 @@ def shard_measure(
     plain picklable records.
     """
     level, arm = unit
-    if mega:
+    if cfg.mega is not None:
         from repro.megascale.adapters import run_mega_overload
 
-        return run_mega_overload(level, arm, seed=seed, quick=quick, population=mega)
-    flow = arm == "flow"
-    out = _run_level(level, seed, quick, flow=flow, trace=trace if flow else None)
+        return run_mega_overload(
+            level, arm, seed=cfg.seed, quick=cfg.quick, population=cfg.mega
+        )
+    trace = cfg.trace if arm == "flow" else None
+    out = _run_level(level, cfg.seed, cfg.quick, arm, trace)
     out["level"] = level
     out["arm"] = arm
     return out
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    overload: Optional[float] = None,
-    trace: Optional[str] = None,
-    report: Optional[str] = None,
-    mega: Optional[int] = None,
-) -> ExperimentResult:
+def shard_finish(partials, cfg: RunConfig) -> ExperimentResult:
     """Merge unit partials into the E15 result, in deterministic unit order.
 
     Partials are consumed in :func:`shard_units` order regardless of
@@ -292,8 +196,8 @@ def shard_finish(
     accumulation, and the report artifact are byte-identical to the
     sequential run.
     """
-    if mega:
-        return _finish_mega(partials, quick=quick, overload=overload, mega=mega)
+    if cfg.mega is not None:
+        return _finish_mega(partials, cfg.mega)
     by_unit = {(p["level"], p["arm"]): p for p in partials}
     recorder = SeriesRecorder(x_label="offered_x")
     result = ExperimentResult(
@@ -307,7 +211,7 @@ def shard_finish(
         ),
         recorder=recorder,
     )
-    levels = sorted({level for level, _arm in shard_units(quick=quick, overload=overload)})
+    levels = sorted({level for level, _arm in shard_units(cfg)})
     top = levels[-1]
     mid = 4 if 4 in levels else levels[len(levels) // 2]
 
@@ -392,24 +296,18 @@ def shard_finish(
     notes = []
     if top_flow["trace_path"]:
         notes.append(f"trace: {top_flow['trace_path']}")
-    if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e15-overload-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"seed": seed, "quick": quick, "levels": report_rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+    if cfg.report is not None:
+        path = write_report(
+            cfg.report,
+            f"e15-overload-seed{cfg.seed}.json",
+            {"seed": cfg.seed, "quick": cfg.quick, "levels": report_rows},
+        )
         notes.append(f"report: {path}")
     result.notes = "\n".join(notes)
     return result
 
 
-def _finish_mega(
-    partials, quick: bool, overload: Optional[float], mega: int
-) -> ExperimentResult:
+def _finish_mega(partials, mega: int) -> ExperimentResult:
     """The mega-scale merge: plateau vs collapse over the columnar kernel.
 
     The same claim shape as the live sweep -- admission keeps goodput at
@@ -490,44 +388,3 @@ def _finish_mega(
         f"{by_unit[(top, 'flow')]['checksum']}"
     )
     return result
-
-
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    overload: Optional[float] = None,
-    trace: Optional[str] = None,
-    report: Optional[str] = None,
-    mega: Optional[int] = None,
-) -> ExperimentResult:
-    """Sweep offered load x1..x10 capacity with and without flow control.
-
-    ``overload`` (the runner's ``--overload`` flag) overrides the top
-    offered-load multiplier; ``trace`` enables the span-level admission
-    audit; ``report`` names a directory for the JSON goodput artifact.
-    ``mega`` (the ``--mega N`` flag) swaps the live testbed for the
-    columnar kernel over an N-object frame -- same levels, same claim
-    shape, three to four orders of magnitude more objects.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
-    """
-    partials = [
-        shard_measure(
-            unit, quick=quick, seed=seed, overload=overload, trace=trace, mega=mega
-        )
-        for unit in shard_units(quick=quick, overload=overload, mega=mega)
-    ]
-    return shard_finish(
-        partials,
-        quick=quick,
-        seed=seed,
-        overload=overload,
-        trace=trace,
-        report=report,
-        mega=mega,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -35,23 +35,32 @@ byte-identical across ``--jobs`` and ``--shards``.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Any, Dict, List, Optional
+import itertools
+from typing import Any, Dict, List
 
-from repro.errors import LegionError, Overloaded
-from repro.experiments.common import ExperimentResult, uniform_sites
-from repro.flow import FlowConfig
-from repro.metrics.counters import ComponentKind
+from repro.errors import LegionError
+from repro.experiments.common import (
+    ExperimentResult,
+    RunConfig,
+    uniform_sites,
+    write_report,
+)
+from repro.experiments.stack import (
+    PATIENT_RETRY,
+    REPLICATION,
+    StackSpec,
+    build,
+    serial_flow,
+)
 from repro.metrics.recorder import SeriesRecorder
 from repro.net.latency import LinkClass
-from repro.core.runtime import RetryPolicy
-from repro.replication import ReplicaRepairService, ReplicaSession, enable_replication
+from repro.replication import ReplicaRepairService, ReplicaSession
 from repro.replication.store import ReplicatedStoreImpl
 from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import gather
 from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem
+from repro.workloads.generators import OpenLoopDriver
 
 N_SITES = 3
 HOSTS_PER_SITE = 2
@@ -66,47 +75,32 @@ READ_TIMEOUT = 400.0
 #: ~170 ms), short enough that patient retries ride it out.
 PART_AT = 30.0
 PART_LEN = 100.0
-#: Readers ride out the timed partition instead of failing: wide backoff,
-#: ``retry_partitions``, zero jitter for byte-identical schedules.
-PATIENT = RetryPolicy(
-    max_attempts=12,
-    base_backoff=10.0,
-    backoff_factor=2.0,
-    max_backoff=200.0,
-    jitter=0.0,
-    budget=5_000.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
-)
 
 # -- phase B (repair yields) knobs --------------------------------------------
 SERVICE_TIME = 2.0
 CAPACITY = 1.0 / SERVICE_TIME
 FG_CLIENTS = 4
 FG_TIMEOUT = 60.0
-#: Same regime as E15: serial admission, bounded queue, pushback sheds,
-#: caller credit windows; infrastructure is never shed.
-FLOW = FlowConfig(
-    capacity=1,
-    queue_limit=14,
-    service_estimate=SERVICE_TIME,
-    admit_kinds=frozenset({ComponentKind.APPLICATION}),
-    credit_window=8,
-)
 #: The remote replica dies this long after the measured window opens.
 CRASH_AT = 40.0
 REPAIR_INTERVAL = 60.0
 REPAIR_STAGGER = 7.0
 
+#: Phase A: replication, with readers that ride out the timed partition.
+LOCALITY = StackSpec(retry=PATIENT_RETRY, replicas=REPLICATION)
+#: Phase B: replication behind E15's admission regime (repair traffic is
+#: shed before foreground reads).
+REPAIR = StackSpec(flow=serial_flow(SERVICE_TIME), replicas=REPLICATION)
 
-def _build_store(seed: int, replicas: int, flow, service_time: float):
-    """A 3-site system with replication enabled and one seeded read-any
-    GeoStore group of ``replicas`` members; returns (system, directory,
-    class binding, group binding)."""
+
+def _build_store(seed: int, replicas: int, spec: StackSpec, service_time: float):
+    """A 3-site system under ``spec`` with one seeded read-any GeoStore
+    group of ``replicas`` members; returns (system, stack, class binding,
+    group binding)."""
     system = LegionSystem.build(
-        uniform_sites(N_SITES, HOSTS_PER_SITE), seed=seed, flow=flow
+        uniform_sites(N_SITES, HOSTS_PER_SITE), seed=seed, flow=spec.flow
     )
-    directory = enable_replication(system)
+    stack = build(system, spec)
     cls = system.create_class(
         "GeoStore",
         factory=lambda: ReplicatedStoreImpl(service_time=service_time),
@@ -119,34 +113,7 @@ def _build_store(seed: int, replicas: int, flow, service_time: float):
             session.seed((key, f"value:{key}") for key in KEYS), name="e16-seed"
         )
     )
-    return system, directory, cls, binding
-
-
-def _all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + [system.console]
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def _settles(runtime) -> bool:
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
+    return system, stack, cls, binding
 
 
 # ---------------------------------------------------------------- phase A
@@ -156,8 +123,8 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
     """One locality sweep point: paced reads from every site at ``r``
     replicas, with a timed regional partition mid-window."""
     reads = 40 if quick else 120
-    system, _directory, _cls, binding = _build_store(
-        seed, replicas, flow=None, service_time=0.0
+    system, stack, _cls, binding = _build_store(
+        seed, replicas, LOCALITY, service_time=0.0
     )
     kernel = system.kernel
     latency = system.network.latency
@@ -165,11 +132,10 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
         {latency.site_of(e.host) for e in binding.address.elements}
     )
 
-    clients = []
-    for spec in system.sites:
-        client = system.new_client(f"e16-{spec.name}", site=spec.name)
-        client.runtime.retry_policy = PATIENT
-        clients.append(client)
+    clients = [
+        system.new_client(f"e16-{spec.name}", site=spec.name) for spec in system.sites
+    ]
+    stack.join(*clients)
     for client in clients:  # warm bindings: resolution traffic is not a read
         system.call(binding.loid, "Get", KEYS[0], client=client)
     system.reset_measurements()
@@ -214,7 +180,7 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
     ]
     futures.append(system.spawn(chaos(), name="e16-partition"))
     kernel.run_until_complete(gather(futures), max_events=50_000_000)
-    kernel.run()  # late bounces and timers
+    stack.settle()  # late bounces and timers
 
     def mean(rows):
         return (
@@ -238,7 +204,7 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
         "partition_reads": len(in_part),
         "wan_msgs": wan,
         "wan_per_read": wan / len(records) if records else 0.0,
-        "settled": all(_settles(rt) for rt in _all_runtimes(system, clients)),
+        "settled": system.settled(clients),
         "sim_clock": kernel.now,
         "sim_events": kernel.events_executed,
     }
@@ -247,63 +213,13 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
 # ---------------------------------------------------------------- phase B
 
 
-def _drive(system, clients, target, interval: float, duration: float):
-    """Open-loop Get() traffic with per-call outcome records (E15 shape)."""
-    kernel = system.kernel
-    records: List[Dict[str, Any]] = []
-
-    def one_call(client, rec, key):
-        try:
-            yield from client.runtime.invoke(target, "Get", key, timeout=FG_TIMEOUT)
-            rec["outcome"] = "ok"
-        except Overloaded:
-            rec["outcome"] = "shed"
-        except LegionError as exc:
-            rec["outcome"] = "failed"
-            rec["error"] = type(exc).__name__
-        rec["done"] = kernel.now
-
-    def loop(client, offset):
-        if offset > 0.0:
-            yield Timeout(offset)
-        end = kernel.now + duration
-        calls = []
-        n = 0
-        while kernel.now < end:
-            rec: Dict[str, Any] = {
-                "issue": kernel.now,
-                "done": None,
-                "outcome": "pending",
-            }
-            records.append(rec)
-            calls.append(
-                kernel.spawn(
-                    one_call(client, rec, KEYS[n % len(KEYS)]),
-                    name=f"e16-call-{client.loid}",
-                )
-            )
-            n += 1
-            yield Timeout(interval)
-        for fut in calls:  # drain: every fired call must settle
-            yield fut
-
-    futures = [
-        kernel.spawn(
-            loop(client, i * interval / len(clients)),
-            name=f"e16-loop-{client.loid}",
-        )
-        for i, client in enumerate(clients)
-    ]
-    return gather(futures), records
-
-
 def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, Any]:
     """One repair arm: overloaded foreground reads plus a mid-window
     remote-replica crash; ``arm == "on"`` also runs the repair service."""
     measure = 300.0 if quick else 600.0
     warmup = 100.0
-    system, directory, cls, binding = _build_store(
-        seed, N_SITES, flow=FLOW, service_time=SERVICE_TIME
+    system, stack, cls, binding = _build_store(
+        seed, N_SITES, REPAIR, service_time=SERVICE_TIME
     )
     kernel = system.kernel
     latency = system.network.latency
@@ -338,14 +254,26 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
             binding.loid, "e16: replica crash"
         )
 
+    # Open-loop Get() traffic (E15's shape), each client cycling the keys.
+    keys = {id(client): itertools.cycle(KEYS) for client in clients}
     interval = FG_CLIENTS / (mult * CAPACITY)
+    driver = OpenLoopDriver(
+        kernel,
+        clients,
+        lambda client: (binding.loid, "Get", (next(keys[id(client)]),)),
+        interval,
+        warmup + measure,
+        timeout=FG_TIMEOUT,
+        stagger=interval / FG_CLIENTS,
+    )
     start = kernel.now
-    done, records = _drive(system, clients, binding.loid, interval, warmup + measure)
+    done = driver.start()
     chaos_fut = system.spawn(chaos(), name="e16-crash")
     kernel.run_until_complete(gather([done, chaos_fut]), max_events=50_000_000)
     if service is not None:
         service.stop()  # the sweep loops never exit; stop before draining
-    kernel.run()  # drain the backlog and late replies
+    stack.settle()  # drain the backlog and late replies
+    records = driver.records
 
     repair_clients: List[Any] = []
     regrows = 0
@@ -354,7 +282,7 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
     if service is not None:
         # Deterministic final passes: whatever the in-window sweeps left
         # undone (the measured window may end mid-sweep) completes here.
-        for site in directory.sites():
+        for site in stack.directory.sites():
             kernel.run_until_complete(
                 system.spawn(service.sweep_site(site), name=f"e16-final-{site}")
             )
@@ -391,10 +319,7 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
         )
         / measure
     )
-    outcomes = {"ok": 0, "shed": 0, "failed": 0}
-    for rec in records:
-        outcomes[rec["outcome"]] += 1
-    runtimes = _all_runtimes(system, clients + repair_clients)
+    outcomes = driver.outcome_counts()
     return {
         "arm": arm,
         "mult": mult,
@@ -404,7 +329,7 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
         "regrows": regrows,
         "restored": restored,
         "replica_keys": replica_keys,
-        "settled": all(_settles(rt) for rt in runtimes),
+        "settled": system.settled(clients + repair_clients),
         "sim_clock": kernel.now,
         "sim_events": kernel.events_executed,
     }
@@ -413,11 +338,7 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
 # ---------------------------------------------------------- shard protocol
 
 
-def shard_units(
-    quick: bool = True,
-    replicas: Optional[int] = None,
-    overload: Optional[float] = None,
-) -> list:
+def shard_units(cfg: RunConfig) -> list:
     """The independent work units of one E16 sweep.
 
     Phase A is one unit per replica count (1, 2, top); phase B is one
@@ -425,39 +346,28 @@ def shard_units(
     the seed and shares nothing, so units may run in separate worker
     processes (``--shards N``) in any order.
     """
-    top = min(N_SITES * HOSTS_PER_SITE, max(2, int(replicas))) if replicas else N_SITES
+    top = N_SITES
+    if cfg.replicas is not None:
+        top = min(N_SITES * HOSTS_PER_SITE, max(2, int(cfg.replicas)))
     units = [("locality", r) for r in sorted({1, 2, top})]
     units += [("repair", "off"), ("repair", "on")]
     return units
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    replicas: Optional[int] = None,
-    overload: Optional[float] = None,
-) -> Dict[str, Any]:
+def shard_measure(unit, cfg: RunConfig) -> Dict[str, Any]:
     """Run one unit; the returned dict is picklable."""
     kind, param = unit
     if kind == "locality":
-        out = _measure_locality(param, seed, quick)
+        out = _measure_locality(param, cfg.seed, cfg.quick)
     else:
-        mult = max(2, int(overload)) if overload else 4
-        out = _measure_repair(param, seed, quick, mult)
+        mult = max(2, int(cfg.overload)) if cfg.overload is not None else 4
+        out = _measure_repair(param, cfg.seed, cfg.quick, mult)
     out["kind"] = kind
     out["param"] = param
     return out
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    replicas: Optional[int] = None,
-    overload: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
+def shard_finish(partials, cfg: RunConfig) -> ExperimentResult:
     """Merge unit partials into the E16 result, in deterministic unit
     order, so reports are byte-identical at any shard count."""
     by_unit = {(p["kind"], p["param"]): p for p in partials}
@@ -474,7 +384,7 @@ def shard_finish(
         ),
         recorder=recorder,
     )
-    counts = [p for k, p in shard_units(quick=quick, replicas=replicas) if k == "locality"]
+    counts = [p for k, p in shard_units(cfg) if k == "locality"]
     top = counts[-1]
 
     total_clock, total_events = 0.0, 0
@@ -596,52 +506,11 @@ def shard_finish(
     result.sim_clock = total_clock
     result.sim_events = total_events
 
-    if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e16-georeplication-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"seed": seed, "quick": quick, "units": report_rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+    if cfg.report is not None:
+        path = write_report(
+            cfg.report,
+            f"e16-georeplication-seed{cfg.seed}.json",
+            {"seed": cfg.seed, "quick": cfg.quick, "units": report_rows},
+        )
         result.notes = f"report: {path}"
     return result
-
-
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    replicas: Optional[int] = None,
-    overload: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
-    """Sweep replica counts (phase A) and repair arms (phase B).
-
-    ``replicas`` (the runner's ``--replicas`` flag) overrides the top
-    replica count; ``overload`` sets the phase-B offered-load multiplier;
-    ``report`` names a directory for the JSON artifact.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
-    """
-    units = shard_units(quick=quick, replicas=replicas)
-    partials = [
-        shard_measure(
-            unit, quick=quick, seed=seed, replicas=replicas, overload=overload
-        )
-        for unit in units
-    ]
-    return shard_finish(
-        partials,
-        quick=quick,
-        seed=seed,
-        replicas=replicas,
-        overload=overload,
-        report=report,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -29,27 +29,29 @@ across ``--jobs``/``--shards``.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.errors import LegionError, Overloaded
-from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult
-from repro.faults.driver import ChaosDriver, eligible_hosts
-from repro.faults.log import FaultLog
-from repro.faults.plan import FaultKind, FaultPlan
-from repro.faults.recovery import RecoverySweeper
-from repro.flow import FlowConfig
-from repro.health import GovernorConfig, HealthLedger, enable_governor
-from repro.metrics.counters import ComponentKind, MetricsRegistry
+from repro.errors import LegionError
+from repro.experiments.common import ExperimentResult, RunConfig, write_report
+from repro.experiments.stack import (
+    GOVERNED_RETRY,
+    GOVERNOR,
+    ChaosSpec,
+    StackSpec,
+    build,
+    serial_flow,
+)
+from repro.faults.plan import FaultKind
+from repro.health import HealthLedger
+from repro.metrics.counters import MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
 from repro.simkernel.futures import gather
 from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.trace.audit import TraceAudit
 from repro.workloads.apps import CounterImpl, SerialServiceImpl
+from repro.workloads.generators import OpenLoopDriver
 
 #: Exclusive service per Work() call; capacity is its reciprocal.
 SERVICE_TIME = 2.0
@@ -59,43 +61,29 @@ TIMEOUT = 60.0
 #: Bystander objects the chaos plan may crash (the loss-evidence feed).
 N_FODDER = 6
 
-#: The governed arm's flow regime (E15's, unchanged): serial admission,
-#: a bounded queue the governor tightens per band, credit windows.
-FLOW = FlowConfig(
-    capacity=1,
-    queue_limit=14,
-    service_estimate=SERVICE_TIME,
-    admit_kinds=frozenset({ComponentKind.APPLICATION}),
-    credit_window=8,
-)
 
-#: Both arms' client policy: patient (rides out crashes) but budgeted --
-#: the retry-token bucket is the knob the governor's refill scaling
-#: turns, and what keeps retry volume honest in the baseline too.
-E17_RETRY_POLICY = RetryPolicy(
-    max_attempts=6,
-    base_backoff=5.0,
-    backoff_factor=2.0,
-    max_backoff=100.0,
-    budget=2_000.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
-    retry_tokens=60.0,
-    retry_token_refill=0.5,
-)
-
-#: The governed arm's governor: default thresholds/ladder, E17-paced
-#: dwells (short enough that a 240 ms phase fits two one-band steps).
-#: The critical allowlist is filled in per run with the serial service's
-#: LOID (an application server's component name defaults to its LOID
-#: string), so the Failed band pauses everything *except* the service
-#: under test -- the allowlist protecting the one class that must serve.
-GOVERNOR = GovernorConfig(
-    degrade_dwell=30.0,
-    recover_dwell=80.0,
-    tick=10.0,
-    window=40.0,
-)
+def _stack(governed: bool, phases) -> StackSpec:
+    """Both arms: patient-but-budgeted clients and the storm's chaos --
+    a seeded plan of host/object crashes that starts with the storm
+    phase.  The governed arm adds E15's flow regime (a bounded queue the
+    governor tightens per band, credit windows) and the governor, coupled
+    to the recovery sweeper's cadence and the clients' retry refill."""
+    storm = ChaosSpec(
+        "e17-faults",
+        intensity=10.0,
+        horizon=phases[2][1],
+        sweep=120.0,
+        mix={FaultKind.HOST_CRASH: 0.5, FaultKind.OBJECT_CRASH: 0.5},
+        start=sum(d for _n, d, _l in phases[:2]),
+    )
+    if not governed:
+        return StackSpec(retry=GOVERNED_RETRY, faults=storm)
+    return StackSpec(
+        flow=serial_flow(SERVICE_TIME),
+        retry=GOVERNED_RETRY,
+        faults=storm,
+        governor=GOVERNOR,
+    )
 
 
 def _phases(quick: bool, mult: float) -> List[Tuple[str, float, float]]:
@@ -115,90 +103,12 @@ def _phases(quick: bool, mult: float) -> List[Tuple[str, float, float]]:
     ]
 
 
-def _all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def _settles(runtime) -> bool:
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
-
-
-def _drive(system, clients, target, phases):
-    """Open-loop Work() traffic walking the phase schedule.
-
-    Like E15's driver but phased: each client issues at the phase's
-    offered-load interval until the phase ends, with per-call
-    (issue, settle, outcome) records for phase-windowed goodput.
-    """
-    kernel = system.kernel
-    records: List[Dict[str, Any]] = []
-
-    def one_call(client, rec):
-        try:
-            yield from client.runtime.invoke(target, "Work", timeout=TIMEOUT)
-            rec["outcome"] = "ok"
-        except Overloaded:
-            rec["outcome"] = "shed"
-        except LegionError as exc:
-            rec["outcome"] = "failed"
-            rec["error"] = type(exc).__name__
-        rec["done"] = kernel.now
-
-    def loop(client, offset):
-        if offset > 0.0:
-            yield Timeout(offset)
-        calls = []
-        for _name, duration, level in phases:
-            interval = N_CLIENTS / (level * CAPACITY)
-            end = kernel.now + duration
-            while kernel.now < end:
-                rec: Dict[str, Any] = {
-                    "issue": kernel.now,
-                    "done": None,
-                    "outcome": "pending",
-                }
-                records.append(rec)
-                calls.append(
-                    kernel.spawn(one_call(client, rec), name=f"e17-call-{client.loid}")
-                )
-                yield Timeout(min(interval, end - kernel.now))
-        for fut in calls:  # drain: every fired call must settle
-            yield fut
-
-    futures = [
-        kernel.spawn(loop(client, i * 0.5), name=f"e17-loop-{client.loid}")
-        for i, client in enumerate(clients)
-    ]
-    return gather(futures), records
-
-
 def _run_arm(
     seed: int, quick: bool, governed: bool, mult: float
 ) -> Dict[str, Any]:
     phases = _phases(quick, mult)
-    system = LegionSystem.build(
-        [SiteSpec("main", hosts=3)], seed=seed, flow=FLOW if governed else None
-    )
-    log = FaultLog()
-    system.services.fault_log = log
+    spec = _stack(governed, phases)
+    system = LegionSystem.build([SiteSpec("main", hosts=3)], seed=seed, flow=spec.flow)
 
     # Class objects are infrastructure: pin them to the protected first
     # host (as E13 does) so chaos can crash instances but never the
@@ -238,37 +148,29 @@ def _run_arm(
     # for it), and in the Failed band its calls are what the pause sheds.
     prober = system.new_client("e17-probe")
     clients.append(prober)
-    for client in clients:
-        client.runtime.retry_policy = E17_RETRY_POLICY
 
-    # The storm's chaos: drawn up front from the seeded stream, started
-    # (relative to then-now) when the storm phase begins.
-    storm_start = sum(d for _n, d, _l in phases[:2])
-    storm_duration = phases[2][1]
-    plan = FaultPlan.generate(
-        system.services.rng.stream("e17-faults"),
-        horizon=storm_duration,
-        intensity=10.0,
-        hosts=eligible_hosts(system),
-        sites=[s.name for s in system.sites],
-        objects=[str(b.loid) for b in fodder],
-        mix={FaultKind.HOST_CRASH: 0.5, FaultKind.OBJECT_CRASH: 0.5},
+    # The critical allowlist is the serial service (an application
+    # server's component name defaults to its LOID string), so the Failed
+    # band pauses everything *except* the service under test.
+    stack = build(
+        system,
+        spec,
+        clients,
+        targets=[b.loid for b in fodder],
+        critical=[instance.loid],
     )
-    driver = ChaosDriver(system, plan, log)
-    sweeper = RecoverySweeper(system, interval=120.0)
-    sweeper.start()
-
-    governor = None
-    if governed:
-        config = replace(GOVERNOR, critical=frozenset({str(instance.loid)}))
-        governor = enable_governor(system, config)
-        governor.track(*clients)
-        governor.attach(sweeper=sweeper)
 
     start = system.kernel.now
     total = sum(d for _n, d, _l in phases)
-    system.kernel.schedule(storm_start, driver.start)
-    done, records = _drive(system, clients[:N_CLIENTS], instance.loid, phases)
+    driver = OpenLoopDriver(
+        system.kernel,
+        clients[:N_CLIENTS],
+        lambda _client: (instance.loid, "Work", ()),
+        timeout=TIMEOUT,
+        phases=[(d, N_CLIENTS / (level * CAPACITY)) for _n, d, level in phases],
+        stagger=0.5,
+    )
+    done = driver.start()
 
     def probe_loop():
         end = system.kernel.now + total
@@ -284,39 +186,31 @@ def _run_arm(
 
     probes = system.kernel.spawn(probe_loop(), name="e17-probes")
     system.kernel.run_until_complete(gather([done, probes]), max_events=50_000_000)
-    sweeper.stop()
-    if governor is not None:
-        governor.stop_loop()  # endless tick loop would pin the drain below
-    system.kernel.run()  # drain backlog, late chaos restores, retries
 
-    # Post-run repair: one final sweep per magistrate so chaos losses are
-    # recovered (and logged) before reconciliation reads the backlog.
-    for site in sorted(system.magistrates):
-        fut = system.spawn(system.magistrates[site].impl.sweep_hosts())
-        system.kernel.run_until_complete(fut)
-    # Touch every fodder object: a straggler lost on a live host is
-    # recovered by this very call (the reactive path), as in E13.  The
-    # tracked prober does the touching so any shed stays triple-entry.
-    def touch(loid):
-        try:
-            yield from prober.runtime.invoke(loid, "Get", timeout=TIMEOUT)
-        except LegionError:
-            pass  # reconciliation below reports it as unrecovered
-    for binding in fodder:
-        fut = system.kernel.spawn(touch(binding.loid), name="e17-touch")
-        system.kernel.run_until_complete(fut)
+    def touch_fodder():
+        # A straggler lost on a live host is recovered by this very call
+        # (the reactive path), as in E13.  The tracked prober does the
+        # touching so any shed stays triple-entry.
+        def touch(loid):
+            try:
+                yield from prober.runtime.invoke(loid, "Get", timeout=TIMEOUT)
+            except LegionError:
+                pass  # reconciliation below reports it as unrecovered
+        for binding in fodder:
+            fut = system.kernel.spawn(touch(binding.loid), name="e17-touch")
+            system.kernel.run_until_complete(fut)
+
+    stack.settle(touch_fodder)
+    records = driver.records
+    governor = stack.governor
 
     ledger_records: List[Dict[str, Any]] = []
     band_final = "stable"
     audits: List[Any] = []
     if governor is not None:
-        record = governor.poll()  # observe the post-storm world once more
-        del record
-        evidence = governor.last_evidence
-        audits.append(TraceAudit.evidence_reconciles(evidence))
+        audits.append(TraceAudit.evidence_reconciles(governor.last_evidence))
         ledger_records = governor.ledger.to_json()
         band_final = governor.band.label
-        governor.stop()
 
     # Phase-windowed goodput (successes per ms, by settle time).
     phase_rows = []
@@ -337,17 +231,14 @@ def _run_arm(
             }
         )
         edge = w1
-    outcomes = {"ok": 0, "shed": 0, "failed": 0}
-    for rec in records:
-        outcomes[rec["outcome"]] += 1
+    outcomes = driver.outcome_counts()
 
     metrics = system.services.metrics
     metrics_shed = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
-    faultlog_shed = sum(1 for i in log.observed if i.kind == "request-shed")
-    runtimes = _all_runtimes(system, clients)
-    wire_shed = sum(rt.stats.shed for rt in runtimes)
-    lost = set(log.lost_objects())
-    recovered = set(log.recovered_objects())
+    faultlog_shed = sum(1 for i in stack.log.observed if i.kind == "request-shed")
+    wire_shed = sum(rt.stats.shed for rt in system.runtimes(clients))
+    lost = set(stack.log.lost_objects())
+    recovered = set(stack.log.recovered_objects())
 
     return {
         "phases": phase_rows,
@@ -356,8 +247,8 @@ def _run_arm(
         "metrics_shed": metrics_shed,
         "faultlog_shed": faultlog_shed,
         "wire_shed": wire_shed,
-        "settled": all(_settles(rt) for rt in runtimes),
-        "chaos_events": len(plan.events),
+        "settled": system.settled(clients),
+        "chaos_events": len(stack.plan.events),
         "lost": len(lost),
         "unrecovered": len(lost - recovered),
         "ledger": ledger_records,
@@ -368,36 +259,29 @@ def _run_arm(
     }
 
 
-def shard_units(quick: bool = True, governor: Optional[float] = None) -> list:
+def _mult(cfg: RunConfig) -> float:
+    """The storm's offered-load multiple (``--governor``; default 8)."""
+    return float(cfg.governor) if cfg.governor is not None else 8.0
+
+
+def shard_units(cfg: RunConfig) -> list:
     """The two independent arms; each builds its own seeded system."""
     return ["governed", "baseline"]
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    governor: Optional[float] = None,
-) -> Dict[str, Any]:
+def shard_measure(unit, cfg: RunConfig) -> Dict[str, Any]:
     """Run one arm; the returned dict is picklable."""
-    mult = float(governor) if governor else 8.0
-    out = _run_arm(seed, quick, governed=unit == "governed", mult=mult)
+    out = _run_arm(cfg.seed, cfg.quick, governed=unit == "governed", mult=_mult(cfg))
     out["arm"] = unit
     return out
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    governor: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
+def shard_finish(partials, cfg: RunConfig) -> ExperimentResult:
     """Merge the two arms, in unit order, into the E17 result."""
     by_arm = {p["arm"]: p for p in partials}
     gov = by_arm["governed"]
     base = by_arm["baseline"]
-    mult = float(governor) if governor else 8.0
+    mult = _mult(cfg)
 
     recorder = SeriesRecorder(x_label="phase")
     result = ExperimentResult(
@@ -521,59 +405,28 @@ def shard_finish(
             else "(no transitions)"
         )
     ]
-    if report is not None:
+    if cfg.report is not None:
         from repro.health.ledger import canonical
 
-        os.makedirs(report, exist_ok=True)
-        ledger_path = os.path.join(report, f"e17-ledger-seed{seed}.jsonl")
+        os.makedirs(cfg.report, exist_ok=True)
+        ledger_path = os.path.join(cfg.report, f"e17-ledger-seed{cfg.seed}.jsonl")
         with open(ledger_path, "w") as fh:
             for rec in ledger:
                 fh.write(canonical(rec) + "\n")
-        path = os.path.join(report, f"e17-governor-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "seed": seed,
-                    "quick": quick,
-                    "mult": mult,
-                    "governed": gov["phases"],
-                    "baseline": base["phases"],
-                    "bands": visited,
-                    "transitions": len(ledger),
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+        path = write_report(
+            cfg.report,
+            f"e17-governor-seed{cfg.seed}.json",
+            {
+                "seed": cfg.seed,
+                "quick": cfg.quick,
+                "mult": mult,
+                "governed": gov["phases"],
+                "baseline": base["phases"],
+                "bands": visited,
+                "transitions": len(ledger),
+            },
+        )
         notes.append(f"report: {path}")
         notes.append(f"ledger: {ledger_path}")
     result.notes = "\n".join(notes)
     return result
-
-
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    governor: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
-    """Governed vs ungoverned under compounded overload + chaos.
-
-    ``governor`` (the runner's ``--governor`` flag) overrides the storm's
-    offered-load multiplier (default 8); ``report`` names a directory for
-    the JSON phase artifact and the JSONL transition ledger.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
-    """
-    partials = [
-        shard_measure(unit, quick=quick, seed=seed, governor=governor)
-        for unit in shard_units(quick=quick, governor=governor)
-    ]
-    return shard_finish(
-        partials, quick=quick, seed=seed, governor=governor, report=report
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -27,20 +27,21 @@ different ticks per site, the repository must stay reader-heavy.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult
-from repro.faults.driver import ChaosDriver, eligible_hosts
-from repro.faults.log import FaultLog
-from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoverySweeper
-from repro.flow import FlowConfig
-from repro.health import GovernorConfig, HealthLedger, enable_governor
-from repro.metrics.counters import ComponentKind
+from repro.autoscale import AutoscaleConfig
+from repro.experiments.common import ExperimentResult, RunConfig, write_report
+from repro.experiments.stack import (
+    CHAOS_RETRY,
+    GOVERNOR,
+    REPLICATION,
+    ChaosSpec,
+    StackSpec,
+    build,
+    serial_flow,
+)
+from repro.health import HealthLedger
 from repro.metrics.recorder import SeriesRecorder
 from repro.scenarios import (
     ReplicaRouting,
@@ -54,17 +55,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.spec import ScenarioSpec
 
-#: The fault arm's client policy: E13's patient, budgeted retry.
-CHAOS_RETRY_POLICY = RetryPolicy(
-    max_attempts=12,
-    base_backoff=10.0,
-    backoff_factor=2.0,
-    max_backoff=300.0,
-    jitter=0.5,
-    budget=10_000.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
-)
 #: Per-call deadline under chaos (rides out a crash + recovery).
 CHAOS_TIMEOUT = 600.0
 #: The checkpointed sentinel key every instance must answer after chaos.
@@ -75,26 +65,7 @@ DEFAULT_FAULTS = 1.0
 DEFAULT_GOVERNOR_MULT = 3.0
 DEFAULT_MEGA = 1_000_000
 
-#: The governed/overload arms' governor: E17's dwells and ladder.
-GOVERNOR = GovernorConfig(
-    degrade_dwell=30.0,
-    recover_dwell=80.0,
-    tick=10.0,
-    window=40.0,
-)
-
 MAX_EVENTS = 50_000_000
-
-
-def _flow(spec: ScenarioSpec) -> FlowConfig:
-    """E15's admission regime sized to the scenario's service time."""
-    return FlowConfig(
-        capacity=1,
-        queue_limit=14,
-        service_estimate=spec.service_time,
-        admit_kinds=frozenset({ComponentKind.APPLICATION}),
-        credit_window=8,
-    )
 
 
 def _sized(spec: ScenarioSpec, quick: bool) -> ScenarioSpec:
@@ -103,33 +74,6 @@ def _sized(spec: ScenarioSpec, quick: bool) -> ScenarioSpec:
         return spec
     phases = tuple(replace(p, duration=p.duration * 2.0) for p in spec.phases)
     return replace(spec, phases=phases)
-
-
-def _all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + [system.console]
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def _settles(runtime) -> bool:
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
 
 
 def _phase_outcomes(driver: ScenarioDriver) -> Dict[str, Dict[str, int]]:
@@ -173,16 +117,16 @@ def _shape_stats(spec: ScenarioSpec, plan) -> dict:
     return shape
 
 
-def _drain(driver: ScenarioDriver, stats_fut):
+def _replay(driver: ScenarioDriver, stack, verify=None):
+    """Run a deployment's replay to completion, then settle its stack."""
     system = driver.deployment.system
-    system.kernel.run_until_complete(stats_fut, max_events=MAX_EVENTS)
-    system.kernel.run()
+    system.kernel.run_until_complete(driver.start(), max_events=MAX_EVENTS)
+    return stack.settle(verify)
 
 
 def _base_partial(driver: ScenarioDriver) -> dict:
     """The fields every rich arm reports."""
     system = driver.deployment.system
-    runtimes = _all_runtimes(system, driver.deployment.all_clients())
     return {
         "outcomes": driver.outcome_counts(),
         "sessions": {
@@ -193,7 +137,7 @@ def _base_partial(driver: ScenarioDriver) -> dict:
         },
         "phases": driver.phase_goodput(),
         "phase_outcomes": _phase_outcomes(driver),
-        "settled": all(_settles(rt) for rt in runtimes),
+        "settled": system.settled(driver.deployment.all_clients()),
         "sim_clock": system.kernel.now,
         "sim_events": system.kernel.events_executed,
     }
@@ -202,11 +146,12 @@ def _base_partial(driver: ScenarioDriver) -> dict:
 # ------------------------------------------------------------------- arms
 
 
-def _measure_plain(spec: ScenarioSpec, seed: int) -> dict:
+def _measure_plain(spec: ScenarioSpec, seed: int, _param: float) -> dict:
     plan = compile_events(spec, seed)
     dep = deploy(spec, seed)
+    stack = build(dep.system, StackSpec(), dep.all_clients())
     driver = ScenarioDriver(dep, plan)
-    _drain(driver, driver.start())
+    _replay(driver, stack)
     partial = _base_partial(driver)
     partial["expected_denied"] = stream_stats(plan)["denied"]
     partial["shape"] = _shape_stats(spec, plan)
@@ -238,46 +183,34 @@ def _measure_faults(spec: ScenarioSpec, seed: int, intensity: float) -> dict:
                 system.call(loid, "Write", SENTINEL_KEY)
                 row = system.call(cls.loid, "GetRow", loid)
                 system.call(row.current_magistrates[0], "Checkpoint", loid)
-    for client in dep.all_clients():
-        client.runtime.retry_policy = CHAOS_RETRY_POLICY
+    chaos = ChaosSpec(
+        f"e18-faults-{spec.name}", intensity=intensity, horizon=spec.duration
+    )
+    stack = build(
+        system,
+        StackSpec(retry=CHAOS_RETRY, faults=chaos),
+        dep.all_clients(),
+        targets=instance_loids,
+    )
+    driver = ScenarioDriver(dep, plan, use_deadlines=False, timeout=CHAOS_TIMEOUT)
 
-    log = FaultLog()
-    fault_plan = FaultPlan.generate(
-        system.services.rng.stream(f"e18-faults-{spec.name}"),
-        horizon=spec.duration,
-        intensity=intensity,
-        hosts=eligible_hosts(system),
-        sites=[s.name for s in system.sites],
-        objects=[str(loid) for loid in instance_loids],
-    )
-    chaos = ChaosDriver(system, fault_plan, log)
-    sweeper = RecoverySweeper(system, interval=100.0)
-    driver = ScenarioDriver(
-        dep, plan, use_deadlines=False, timeout=CHAOS_TIMEOUT
-    )
-    chaos.start()
-    sweeper.start()
-    stats_fut = driver.start()
-    system.kernel.run_until_complete(stats_fut, max_events=MAX_EVENTS)
-    sweeper.stop()
-    system.kernel.run()  # late chaos events, heals, and restores drain here
-    for site in sorted(system.magistrates):
-        fut = system.spawn(system.magistrates[site].impl.sweep_hosts())
-        system.kernel.run_until_complete(fut)
-    # Every instance must still answer with the checkpointed sentinel; a
-    # straggler lost on a live host is recovered by this very call.
-    state_intact = all(
-        system.call(loid, "Read", SENTINEL_KEY) >= 1 for loid in instance_loids
-    )
+    def state_intact() -> bool:
+        # Every instance must still answer with the checkpointed sentinel;
+        # a straggler lost on a live host is recovered by this very call.
+        return all(
+            system.call(loid, "Read", SENTINEL_KEY) >= 1 for loid in instance_loids
+        )
+
+    intact = _replay(driver, stack, state_intact)
     partial = _base_partial(driver)
-    lost = sorted(set(log.lost_objects()))
-    recovered = set(log.recovered_objects())
+    lost = sorted(set(stack.log.lost_objects()))
+    recovered = set(stack.log.recovered_objects())
     partial.update(
         {
-            "faults": log.summary(),
+            "faults": stack.log.summary(),
             "lost": len(lost),
             "unrecovered": [o for o in lost if o not in recovered],
-            "state_intact": state_intact,
+            "state_intact": intact,
         }
     )
     return partial
@@ -287,30 +220,19 @@ def _measure_governor(spec: ScenarioSpec, seed: int, mult: float) -> dict:
     # The same spec at ``mult`` x its offered load, behind E15's flow
     # admission, with the operating-mode governor watching the consoles.
     plan = compile_events(spec, seed, rate_scale=mult)
-    dep = deploy(spec, seed, flow=_flow(spec))
-    system = dep.system
-    critical = frozenset(
-        str(loid) for key in sorted(dep.instances) for loid in dep.instances[key]
-    )
-    config = replace(GOVERNOR, critical=critical)
-    governor = enable_governor(system, config)
-    governor.track(*dep.all_clients())
+    stack_spec = StackSpec(flow=serial_flow(spec.service_time), governor=GOVERNOR)
+    dep = deploy(spec, seed, flow=stack_spec.flow)
+    critical = [loid for key in sorted(dep.instances) for loid in dep.instances[key]]
+    stack = build(dep.system, stack_spec, dep.all_clients(), critical=critical)
     driver = ScenarioDriver(dep, plan, use_deadlines=False)
-    stats_fut = driver.start()
-    system.kernel.run_until_complete(stats_fut, max_events=MAX_EVENTS)
-    governor.stop_loop()  # endless tick loop would pin the drain below
-    system.kernel.run()
-    governor.poll()  # observe the drained world once more
-    records = governor.ledger.to_json()
-    ledger_ok = HealthLedger.verify_records(records) is None
-    band = governor.band.label
-    governor.stop()
+    _replay(driver, stack)
+    records = stack.governor.ledger.to_json()
     partial = _base_partial(driver)
     partial.update(
         {
-            "ledger_ok": ledger_ok,
+            "ledger_ok": HealthLedger.verify_records(records) is None,
             "ledger_records": len(records),
-            "band_final": band,
+            "band_final": stack.governor.band.label,
             "bands_seen": sorted({r["to_band"] for r in records}),
         }
     )
@@ -320,48 +242,35 @@ def _measure_governor(spec: ScenarioSpec, seed: int, mult: float) -> dict:
 def _measure_overload(spec: ScenarioSpec, seed: int, mult: float) -> dict:
     """Flow admission alone (no governor) at ``mult`` x offered load."""
     plan = compile_events(spec, seed, rate_scale=mult)
-    dep = deploy(spec, seed, flow=_flow(spec))
+    stack_spec = StackSpec(flow=serial_flow(spec.service_time))
+    dep = deploy(spec, seed, flow=stack_spec.flow)
+    stack = build(dep.system, stack_spec, dep.all_clients())
     driver = ScenarioDriver(dep, plan, use_deadlines=False)
-    _drain(driver, driver.start())
+    _replay(driver, stack)
     return _base_partial(driver)
 
 
 def _measure_autoscale(spec: ScenarioSpec, seed: int, high_water: float) -> dict:
     """Class 0 under a CloneController; its sessions ride the clone pool."""
-    from repro.autoscale import (
-        AutoscaleConfig,
-        CloneController,
-        ClonePoolRouter,
-        build_placement_agent,
-    )
-
     plan = compile_events(spec, seed)
     dep = deploy(spec, seed)
-    system = dep.system
-    hot = dep.classes[0]
-    controller = CloneController(
-        system,
-        hot,
-        AutoscaleConfig(
-            high_water=high_water,
-            low_water=high_water / 6.0,
-            cooldown=40.0,
-            tick=8.0,
-            max_clones=6,
-        ),
-        placement=build_placement_agent(system),
+    scaling = AutoscaleConfig(
+        high_water=high_water,
+        low_water=high_water / 6.0,
+        cooldown=40.0,
+        tick=8.0,
+        max_clones=6,
     )
-    controller.start()
-    routers = {
-        id(client): ClonePoolRouter(client, hot, refresh=20.0)
-        for client in dep.all_clients()
-    }
-    for router in routers.values():
-        router.start()
+    stack = build(
+        dep.system,
+        StackSpec(autoscale=scaling),
+        dep.all_clients(),
+        hot=dep.classes[0],
+    )
 
     def invoke_via(driver, client, a, req, timeout):
         if a.klass == 0:  # the hot class: ride the clone pool
-            target = routers[id(client)].choose()
+            target = stack.router_for(client).choose()
             yield from client.runtime.invoke(
                 target, "CloneEpoch", timeout=timeout
             )
@@ -371,44 +280,31 @@ def _measure_autoscale(spec: ScenarioSpec, seed: int, high_water: float) -> dict
             )
 
     driver = ScenarioDriver(dep, plan, invoke_via=invoke_via, timeout=400.0)
-    stats_fut = driver.start()
-    system.kernel.run_until_complete(stats_fut, max_events=MAX_EVENTS)
-    # Scale-down: with the traffic gone the pool must drain back.
-    deadline = system.kernel.now + 6_000.0
-    while (
-        system.kernel.now < deadline
-        and system.call(hot.loid, "CloneCount") > 0
-    ):
-        system.kernel.run(until=system.kernel.now + 100.0)
-    drained = system.call(hot.loid, "CloneCount") == 0
-    controller.stop()
-    for router in routers.values():
-        router.stop()
-    system.kernel.run()
+    _replay(driver, stack)
     peak = live = 0
-    for _when, what, _loid in controller.actions:
+    for _when, what, _loid in stack.controller.actions:
         live += 1 if what == "spawn" else -1
         peak = max(peak, live)
     partial = _base_partial(driver)
     partial.update(
         {
             "peak_clones": peak,
-            "actions": len(controller.actions),
-            "drained_to_min": drained,
+            "actions": len(stack.controller.actions),
+            "drained_to_min": stack.drained_to_min,
         }
     )
     return partial
 
 
-def _measure_replicas(spec: ScenarioSpec, seed: int, replicas: int) -> dict:
+def _measure_replicas(spec: ScenarioSpec, seed: int, replicas: float) -> dict:
     """Reads/writes ride per-class replica groups under the spec policy."""
-    from repro.replication import ReplicaSession, enable_replication
+    from repro.replication import ReplicaSession
     from repro.replication.store import ReplicatedStoreImpl
 
     plan = compile_events(spec, seed)
     dep = deploy(spec, seed)
     system = dep.system
-    enable_replication(system)
+    stack = build(system, StackSpec(replicas=REPLICATION), dep.all_clients())
     members = min(int(replicas), spec.sites)
     bindings = []
     for k in range(spec.n_classes):
@@ -435,13 +331,13 @@ def _measure_replicas(spec: ScenarioSpec, seed: int, replicas: int) -> dict:
         bindings.append(binding)
     routing = ReplicaRouting(bindings=bindings, consistency=spec.consistency)
     driver = ScenarioDriver(dep, plan, invoke_via=routing.invoke_via)
-    _drain(driver, driver.start())
+    _replay(driver, stack)
     partial = _base_partial(driver)
     partial["replica_members"] = members
     return partial
 
 
-def _measure_mega(spec: ScenarioSpec, seed: int, population: int) -> dict:
+def _measure_mega(spec: ScenarioSpec, seed: int, population: float) -> dict:
     """The whole scenario through the columnar backend at ``population``."""
     from repro.scenarios.mega import frame_arrivals, run_scenario_mega
 
@@ -482,42 +378,27 @@ _MEASURES = {
 # --------------------------------------------------------- shard protocol
 
 
-def _arms(
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-) -> List[Tuple[str, float]]:
+def _arms(cfg: RunConfig) -> List[Tuple[str, float]]:
     """The (arm, parameter) columns of the matrix, flags applied."""
     arms = [
         ("plain", 0.0),
-        ("faults", float(faults) if faults is not None else DEFAULT_FAULTS),
+        ("faults", float(cfg.faults) if cfg.faults is not None else DEFAULT_FAULTS),
         (
             "governor",
-            float(governor) if governor is not None else DEFAULT_GOVERNOR_MULT,
+            float(cfg.governor) if cfg.governor is not None else DEFAULT_GOVERNOR_MULT,
         ),
-        ("mega", float(mega) if mega is not None else float(DEFAULT_MEGA)),
+        ("mega", float(cfg.mega) if cfg.mega is not None else float(DEFAULT_MEGA)),
     ]
-    if overload is not None:
-        arms.insert(3, ("overload", float(overload)))
-    if autoscale is not None:
-        arms.insert(3, ("autoscale", float(autoscale)))
-    if replicas is not None:
-        arms.insert(3, ("replicas", float(replicas)))
+    if cfg.overload is not None:
+        arms.insert(3, ("overload", float(cfg.overload)))
+    if cfg.autoscale is not None:
+        arms.insert(3, ("autoscale", float(cfg.autoscale)))
+    if cfg.replicas is not None:
+        arms.insert(3, ("replicas", float(cfg.replicas)))
     return arms
 
 
-def shard_units(
-    quick: bool = True,
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-) -> list:
+def shard_units(cfg: RunConfig) -> list:
     """One unit per (scenario, arm) cell of the matrix.
 
     Every cell builds its own system from the seed, so cells may run in
@@ -525,36 +406,18 @@ def shard_units(
     :func:`shard_finish` consumes partials in this declaration order, so
     the report is byte-identical however the cells were scheduled.
     """
-    arms = _arms(faults, governor, overload, autoscale, replicas, mega)
     return [
         (name, arm, param)
         for name in scenario_names()
-        for arm, param in arms
+        for arm, param in _arms(cfg)
     ]
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-) -> dict:
+def shard_measure(unit, cfg: RunConfig) -> dict:
     """Run one (scenario, arm) cell; reduce to a picklable partial."""
     name, arm, param = unit
-    spec = _sized(get_scenario(name), quick)
-    if arm == "plain":
-        partial = _measure_plain(spec, seed)
-    elif arm == "replicas":
-        partial = _measure_replicas(spec, seed, int(param))
-    elif arm == "mega":
-        partial = _measure_mega(spec, seed, int(param))
-    else:
-        partial = _MEASURES[arm](spec, seed, param)
+    spec = _sized(get_scenario(name), cfg.quick)
+    partial = _MEASURES[arm](spec, cfg.seed, param)
     partial.update({"scenario": name, "arm": arm, "param": param})
     return partial
 
@@ -587,20 +450,9 @@ def _matrix_row(by_arm: Dict[str, dict]) -> Dict[str, float]:
     return row
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
+def shard_finish(partials, cfg: RunConfig) -> ExperimentResult:
     """Merge cell partials into the E18 result, in unit order."""
-    arms = [a for a, _p in _arms(faults, governor, overload, autoscale, replicas, mega)]
+    arms = [a for a, _p in _arms(cfg)]
     names = scenario_names()
     cells: Dict[str, Dict[str, dict]] = {n: {} for n in names}
     for p in partials:
@@ -766,13 +618,11 @@ def shard_finish(
         cells[n][a]["sim_events"] for n in names for a in arms
     )
 
-    if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e18-scenarios-seed{seed}.json")
+    if cfg.report is not None:
         payload = {
             "experiment": "E18",
-            "seed": seed,
-            "quick": quick,
+            "seed": cfg.seed,
+            "quick": cfg.quick,
             "arms": arms,
             "scenarios": {
                 name: {
@@ -790,56 +640,6 @@ def shard_finish(
                 for c in result.checks
             ],
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        path = write_report(cfg.report, f"e18-scenarios-seed{cfg.seed}.json", payload)
         result.notes += f"\nreport: {path}"
     return result
-
-
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
-    """The whole matrix in-process (the --shards path splits the units)."""
-    units = shard_units(
-        quick,
-        faults=faults,
-        governor=governor,
-        overload=overload,
-        autoscale=autoscale,
-        replicas=replicas,
-        mega=mega,
-    )
-    partials = [
-        shard_measure(
-            unit,
-            quick=quick,
-            seed=seed,
-            faults=faults,
-            governor=governor,
-            overload=overload,
-            autoscale=autoscale,
-            replicas=replicas,
-            mega=mega,
-        )
-        for unit in units
-    ]
-    return shard_finish(
-        partials,
-        quick=quick,
-        seed=seed,
-        faults=faults,
-        governor=governor,
-        overload=overload,
-        autoscale=autoscale,
-        replicas=replicas,
-        mega=mega,
-        report=report,
-    )

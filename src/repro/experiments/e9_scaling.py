@@ -24,9 +24,14 @@ are flat (log-log slope ≈ 0) while the strawman's bottleneck grows
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import ExperimentResult, export_trace, uniform_sites
+from repro.experiments.common import (
+    ExperimentResult,
+    RunConfig,
+    export_trace,
+    uniform_sites,
+)
 from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
 from repro.system.legion import LegionSystem
@@ -126,7 +131,7 @@ def _run_config(
     return maxima, spans, counts
 
 
-def shard_units(quick: bool = True, mega: Optional[int] = None) -> list:
+def shard_units(cfg: RunConfig) -> list:
     """The independent work units of one E9 sweep.
 
     Each unit is one (configuration arm, system size) pair: every unit
@@ -139,39 +144,33 @@ def shard_units(quick: bool = True, mega: Optional[int] = None) -> list:
     the whole population through the frame-at-once backend with a live
     escalation boundary (see :mod:`repro.megascale.adapters`).
     """
-    sweep = [2, 4, 8] if quick else [2, 4, 8, 16, 32]
+    sweep = [2, 4, 8] if cfg.quick else [2, 4, 8, 16, 32]
     units = [
         (arm, n_sites) for n_sites in sweep for arm in ("mitigated", "strawman")
     ]
-    if mega:
+    if cfg.mega is not None:
         from repro.megascale.adapters import e9_mega_sizes
 
-        units.extend(("mega", size) for size in e9_mega_sizes(mega, quick))
+        units.extend(("mega", size) for size in e9_mega_sizes(cfg.mega, cfg.quick))
     return units
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    trace: Optional[str] = None,
-    mega: Optional[int] = None,
-) -> dict:
+def shard_measure(unit, cfg: RunConfig) -> dict:
     """Run one unit; returns a picklable partial for :func:`shard_finish`."""
     arm, n_sites = unit
     if arm == "mega":
         from repro.megascale.adapters import run_e9_mega_unit
 
-        partial = run_e9_mega_unit(n_sites, seed=seed, quick=quick)
+        partial = run_e9_mega_unit(n_sites, seed=cfg.seed, quick=cfg.quick)
         partial["arm"] = "mega"
         return partial
     mitigated = arm == "mitigated"
     maxima, spans, counts = _run_config(
         n_sites,
         mitigated=mitigated,
-        seed=seed,
-        quick=quick,
-        traced=mitigated and trace is not None,
+        seed=cfg.seed,
+        quick=cfg.quick,
+        traced=mitigated and cfg.trace is not None,
     )
     return {
         "arm": arm,
@@ -182,13 +181,7 @@ def shard_measure(
     }
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    trace: Optional[str] = None,
-    mega: Optional[int] = None,
-) -> ExperimentResult:
+def shard_finish(partials, cfg: RunConfig) -> ExperimentResult:
     """Merge unit partials into the E9 result, in deterministic unit order.
 
     Partials are consumed in :func:`shard_units` order regardless of the
@@ -210,7 +203,7 @@ def shard_finish(
         ),
         recorder=recorder,
     )
-    sweep = [2, 4, 8] if quick else [2, 4, 8, 16, 32]
+    sweep = [2, 4, 8] if cfg.quick else [2, 4, 8, 16, 32]
     result.sim_clock = 0.0
     result.sim_events = 0
     ledger_points = []
@@ -285,7 +278,7 @@ def shard_finish(
             all(reconciliations),
             f"{sum(reconciliations)}/{len(reconciliations)} sizes agree",
         )
-        path = export_trace(last_spans, trace, "e9", seed)
+        path = export_trace(last_spans, cfg.trace, "e9", cfg.seed)
         result.notes += f"\ntrace (largest mitigated config): {path}"
 
     if mega_partials:
@@ -325,35 +318,3 @@ def shard_finish(
             + mega_recorder.to_table(title="columnar mega-scale ladder:")
         )
     return result
-
-
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    trace: Optional[str] = None,
-    mega: Optional[int] = None,
-) -> ExperimentResult:
-    """Sweep sites; compare mitigated vs strawman bottleneck growth.
-
-    With ``trace``, every mitigated configuration also records causal
-    spans; the claim is then re-checked from the *trace side*: the
-    span-ledger's max per-component load must be ~flat in system size,
-    and at every size the ledger must reconcile exactly with the request
-    counters the table is built from.
-
-    ``mega`` (the runner's ``--mega N`` flag) appends the columnar
-    size ladder: the same load-slope claim checked at 10^6-10^7 objects
-    through the frame-at-once backend.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
-    """
-    partials = [
-        shard_measure(unit, quick=quick, seed=seed, trace=trace, mega=mega)
-        for unit in shard_units(quick=quick, mega=mega)
-    ]
-    return shard_finish(partials, quick=quick, seed=seed, trace=trace, mega=mega)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -1,4 +1,12 @@
-"""The experiment runner: registry, parallel fan-out, and the CLI.
+"""The experiment runner: registry, one dispatch path, and the CLI.
+
+Every experiment is a registry entry of three hooks -- ``units(cfg)``
+(its independent work units, each its own seeded system),
+``measure(unit, cfg)`` (run one unit in any process; returns a
+picklable partial) and ``finish(partials, cfg)`` (merge in unit order
+into the :class:`~repro.experiments.common.ExperimentResult`) -- and
+:func:`run_experiment` is the one path through them.  ``cfg`` is one
+frozen :class:`~repro.experiments.common.RunConfig` carrying every flag.
 
 The full sweep (E1-E18 plus the A1-A4 ablations) is embarrassingly
 parallel: every experiment builds its own :class:`LegionSystem` from a
@@ -6,9 +14,10 @@ seed and shares nothing with the others.  ``run_many`` therefore fans the
 sweep across a :class:`concurrent.futures.ProcessPoolExecutor` when asked
 (``--jobs N``), while keeping the *printed output* byte-identical to the
 sequential run: workers return rendered reports, and the parent prints
-them in submission order.  Simulated-time results are deterministic per
-(experiment, quick, seed) regardless of scheduling, so parallelism is
-purely a wall-clock optimisation.
+them in submission order.  ``--shards N`` fans one experiment's units
+across worker processes the same way.  Simulated-time results are
+deterministic per (experiment, config) regardless of scheduling, so
+parallelism is purely a wall-clock optimisation.
 
 ``python -m repro.experiments`` dispatches here; see :func:`main`.
 """
@@ -16,13 +25,12 @@ purely a wall-clock optimisation.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.experiments import (
     ablation_caching,
@@ -47,48 +55,58 @@ from repro.experiments import (
     e18_scenarios,
 )
 from repro.experiments.ablation_ttl_locality import run_locality, run_ttl
+from repro.experiments.common import ExperimentResult, RunConfig
 
-#: Experiments refactored onto the shard protocol: a module exposing
-#: ``shard_units(...)`` (the picklable independent work units, each its
-#: own seeded system), ``shard_measure(unit, ...)`` (run one unit in any
-#: process; returns a picklable partial), and ``shard_finish(partials,
-#: ...)`` (merge in deterministic unit order; returns the
-#: ExperimentResult).  ``run_one(..., shards=N)`` fans the units of
-#: these experiments across worker processes; everything else ignores
-#: ``shards``.  The merge consumes partials in unit order, so reports
-#: are byte-identical at any shard count.
-SHARDED = {
-    "e9": e9_scaling,
-    "e13": e13_availability,
-    "e15": e15_overload,
-    "e16": e16_georeplication,
-    "e17": e17_governor,
-    "e18": e18_scenarios,
-}
+
+@dataclass(frozen=True)
+class Experiment:
+    """One registry entry: the units -> measure -> finish hooks."""
+
+    units: Callable[[RunConfig], list]
+    measure: Callable[[Any, RunConfig], Any]
+    finish: Callable[[list, RunConfig], ExperimentResult]
+
+
+def _sharded(module) -> Experiment:
+    """A module exposing ``shard_units``/``shard_measure``/``shard_finish``."""
+    return Experiment(module.shard_units, module.shard_measure, module.shard_finish)
+
+
+def _whole(run, *flags: str) -> Experiment:
+    """A one-unit experiment ``run(quick=, seed=, **flags)``, where
+    ``flags`` names the RunConfig fields it takes."""
+
+    def measure(_unit, cfg: RunConfig) -> ExperimentResult:
+        return run(
+            quick=cfg.quick, seed=cfg.seed, **{f: getattr(cfg, f) for f in flags}
+        )
+
+    return Experiment(lambda _cfg: [None], measure, lambda partials, _cfg: partials[0])
+
 
 RUNNERS = {
-    "e1": e1_binding_path.run,
-    "e2": e2_agent_load.run,
-    "e3": e3_combining_tree.run,
-    "e4": e4_class_cloning.run,
-    "e5": e5_lifecycle.run,
-    "e6": e6_stale_bindings.run,
-    "e7": e7_replication.run,
-    "e8": e8_inheritance.run,
-    "e9": e9_scaling.run,
-    "e10": e10_bootstrap.run,
-    "e11": e11_autonomy.run,
-    "e12": e12_loids.run,
-    "e13": e13_availability.run,
-    "e14": e14_autoscale.run,
-    "e15": e15_overload.run,
-    "e16": e16_georeplication.run,
-    "e17": e17_governor.run,
-    "e18": e18_scenarios.run,
-    "a1": ablation_propagation.run,
-    "a2": ablation_caching.run,
-    "a3": run_ttl,
-    "a4": run_locality,
+    "e1": _whole(e1_binding_path.run, "trace"),
+    "e2": _whole(e2_agent_load.run),
+    "e3": _whole(e3_combining_tree.run, "trace"),
+    "e4": _whole(e4_class_cloning.run),
+    "e5": _whole(e5_lifecycle.run),
+    "e6": _whole(e6_stale_bindings.run),
+    "e7": _whole(e7_replication.run),
+    "e8": _whole(e8_inheritance.run),
+    "e9": _sharded(e9_scaling),
+    "e10": _whole(e10_bootstrap.run),
+    "e11": _whole(e11_autonomy.run),
+    "e12": _whole(e12_loids.run),
+    "e13": _sharded(e13_availability),
+    "e14": _whole(e14_autoscale.run, "autoscale", "report", "mega"),
+    "e15": _sharded(e15_overload),
+    "e16": _sharded(e16_georeplication),
+    "e17": _sharded(e17_governor),
+    "e18": _sharded(e18_scenarios),
+    "a1": _whole(ablation_propagation.run),
+    "a2": _whole(ablation_caching.run),
+    "a3": _whole(run_ttl),
+    "a4": _whole(run_locality),
 }
 
 
@@ -110,37 +128,18 @@ class RunOutcome:
     seed: int
 
 
-def _accepts(runner, keyword: str) -> bool:
-    """Whether an experiment runner takes ``keyword`` as a parameter."""
-    try:
-        return keyword in inspect.signature(runner).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins only
-        return False
+def run_experiment(name: str, cfg: RunConfig, shards: int = 1) -> ExperimentResult:
+    """Run one experiment: units -> measure -> finish.
 
-
-def _accepts_trace(runner) -> bool:
-    """Whether an experiment runner takes the ``trace`` keyword."""
-    return _accepts(runner, "trace")
-
-
-def _filter_kwargs(fn, kwargs: dict) -> dict:
-    """The subset of ``kwargs`` that ``fn``'s signature declares."""
-    return {k: v for k, v in kwargs.items() if _accepts(fn, k)}
-
-
-def _run_sharded(module, shards: int, kwargs: dict):
-    """Fan one experiment's units across ``shards`` worker processes.
-
-    Units are independent by the shard contract (each builds its own
-    seeded system), so scheduling is purely a wall-clock optimisation:
-    partials are collected in submission (= unit) order and merged by
-    the module's ``shard_finish``, which produces the same
-    ExperimentResult as the sequential run byte-for-byte.
+    ``shards`` > 1 measures the units on up to that many worker
+    processes.  Units are independent by contract (each builds its own
+    seeded system) and ``finish`` consumes the partials in unit order,
+    so the result is byte-identical at any shard count.
     """
-    units = module.shard_units(**_filter_kwargs(module.shard_units, kwargs))
-    measure_kwargs = _filter_kwargs(module.shard_measure, kwargs)
+    experiment = RUNNERS[name]
+    units = experiment.units(cfg)
     if shards <= 1 or len(units) <= 1:
-        partials = [module.shard_measure(unit, **measure_kwargs) for unit in units]
+        partials = [experiment.measure(unit, cfg) for unit in units]
     else:
         with ProcessPoolExecutor(max_workers=min(shards, len(units))) as pool:
             # Submit in reverse unit order: sweeps list units smallest
@@ -149,65 +148,18 @@ def _run_sharded(module, shards: int, kwargs: dict):
             # of the critical path.  Merge order is unaffected -- the
             # partials list is rebuilt in unit order.
             futures = {
-                index: pool.submit(module.shard_measure, units[index], **measure_kwargs)
+                index: pool.submit(experiment.measure, units[index], cfg)
                 for index in reversed(range(len(units)))
             }
             partials = [futures[index].result() for index in range(len(units))]
-    return module.shard_finish(
-        partials, **_filter_kwargs(module.shard_finish, kwargs)
-    )
+    return experiment.finish(partials, cfg)
 
 
-def run_one(
-    name: str,
-    quick: bool,
-    seed: int,
-    trace: Optional[str] = None,
-    faults: Optional[float] = None,
-    report: Optional[str] = None,
-    autoscale: Optional[float] = None,
-    overload: Optional[float] = None,
-    replicas: Optional[int] = None,
-    governor: Optional[float] = None,
-    mega: Optional[int] = None,
-    shards: int = 1,
-) -> RunOutcome:
-    """Execute one experiment; never raises (a crash is a failed outcome).
-
-    The optional keywords are forwarded only to runners that declare them:
-    ``trace`` (an output directory) to trace-aware experiments, ``faults``
-    (a chaos intensity) and ``report`` (an artifact directory) to
-    fault-aware ones, ``autoscale`` (a max load multiplier) to e14,
-    ``overload`` (a top offered-load multiplier) to e15/e16, ``replicas``
-    (a top replica count) to e16, ``mega`` (a columnar population size)
-    to the mega-scale-aware experiments (e9/e14/e15).  The rest run
-    exactly as without the flags.
-
-    ``shards`` > 1 runs the independent units (jurisdictions) of
-    :data:`SHARDED` experiments on separate worker processes with a
-    deterministic cross-shard merge; non-sharded experiments ignore it.
-    """
+def run_one(name: str, cfg: RunConfig, shards: int = 1) -> RunOutcome:
+    """Execute one experiment; never raises (a crash is a failed outcome)."""
     started = time.perf_counter()
     try:
-        runner = RUNNERS[name]
-        kwargs = {"quick": quick, "seed": seed}
-        for keyword, value in (
-            ("trace", trace),
-            ("faults", faults),
-            ("report", report),
-            ("autoscale", autoscale),
-            ("overload", overload),
-            ("replicas", replicas),
-            ("governor", governor),
-            ("mega", mega),
-        ):
-            if value is not None and _accepts(runner, keyword):
-                kwargs[keyword] = value
-        module = SHARDED.get(name)
-        if shards > 1 and module is not None:
-            result = _run_sharded(module, shards, kwargs)
-        else:
-            result = runner(**kwargs)
+        result = run_experiment(name, cfg, shards)
         report = result.render()
         experiment = result.experiment
         passed = result.passed
@@ -221,26 +173,19 @@ def run_one(
         passed=passed,
         report=report,
         elapsed=time.perf_counter() - started,
-        seed=seed,
+        seed=cfg.seed,
     )
 
 
 def run_many(
     names: Sequence[str],
-    quick: bool = True,
-    seeds: Sequence[int] = (0,),
+    cfg: RunConfig,
+    seeds: Optional[Sequence[int]] = None,
     jobs: int = 1,
-    trace: Optional[str] = None,
-    faults: Optional[float] = None,
-    report: Optional[str] = None,
-    autoscale: Optional[float] = None,
-    overload: Optional[float] = None,
-    replicas: Optional[int] = None,
-    governor: Optional[float] = None,
-    mega: Optional[int] = None,
     shards: int = 1,
 ) -> List[RunOutcome]:
-    """Run ``names`` x ``seeds``, ``jobs`` at a time; outcomes in input order.
+    """Run ``names`` x ``seeds`` (default: ``cfg.seed``), ``jobs`` at a
+    time; outcomes in input order.
 
     ``jobs=1`` runs inline (no pool, no fork) -- this is the reference
     path whose output the parallel path reproduces byte-for-byte.  Traced
@@ -249,16 +194,13 @@ def run_many(
     deterministic seed, so reports and exported artifacts are identical
     at any ``jobs``.
 
-    ``shards`` fans each SHARDED experiment's units across worker
-    processes *inside* its run; combine with ``jobs=1`` (nesting a shard
-    pool inside a job pool multiplies processes).
+    ``shards`` fans each experiment's units across worker processes
+    *inside* its run; combine with ``jobs=1`` (nesting a shard pool
+    inside a job pool multiplies processes).
     """
     tasks = [
-        (
-            name, quick, seed, trace, faults, report,
-            autoscale, overload, replicas, governor, mega, shards,
-        )
-        for seed in seeds
+        (name, replace(cfg, seed=seed), shards)
+        for seed in (seeds if seeds is not None else [cfg.seed])
         for name in names
     ]
     if jobs <= 1 or len(tasks) <= 1:
@@ -320,97 +262,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "are byte-identical at any N (default 1)"
         ),
     )
-    parser.add_argument(
-        "--trace",
-        nargs="?",
-        const="traces",
-        default=None,
-        metavar="DIR",
-        help=(
-            "record causal traces: trace-aware experiments audit their "
-            "span trees and write Chrome trace_event JSON under DIR "
-            "(default: traces/)"
-        ),
-    )
-    parser.add_argument(
-        "--faults",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help=(
-            "chaos intensity (fault events per 1000 simulated time units) "
-            "for fault-aware experiments: e13 then sweeps [0, RATE] "
-            "instead of its default levels"
-        ),
-    )
-    parser.add_argument(
-        "--report",
-        nargs="?",
-        const="reports",
-        default=None,
-        metavar="DIR",
-        help=(
-            "write machine-readable result artifacts (availability/FaultLog "
-            "JSON) under DIR (default: reports/) for experiments that "
-            "support them"
-        ),
-    )
-    parser.add_argument(
-        "--autoscale",
-        type=float,
-        default=None,
-        metavar="MULT",
-        help=(
-            "top offered-load multiplier for autoscale-aware experiments: "
-            "e14 then sweeps powers of two up to MULT instead of its "
-            "default 8x"
-        ),
-    )
-    parser.add_argument(
-        "--overload",
-        type=float,
-        default=None,
-        metavar="MULT",
-        help=(
-            "top offered-load multiplier for overload-aware experiments: "
-            "e15 then sweeps offered load up to MULT x capacity instead "
-            "of its default 10x"
-        ),
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "top replica count for replication-aware experiments: e16 "
-            "then sweeps replica groups up to N members instead of its "
-            "default 3 (one per jurisdiction)"
-        ),
-    )
-    parser.add_argument(
-        "--governor",
-        type=float,
-        default=None,
-        metavar="MULT",
-        help=(
-            "storm offered-load multiplier for governor-aware experiments: "
-            "e17 then drives its storm phase at MULT x capacity instead of "
-            "its default 8x"
-        ),
-    )
-    parser.add_argument(
-        "--mega",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "columnar mega-scale population for mega-aware experiments: "
-            "e9 appends a frame-at-once size ladder up to N objects, "
-            "e14/e15 run their sweeps over an N-object columnar "
-            "population (requires the numpy 'mega' extra)"
-        ),
-    )
+    for flag in RunConfig.flags():
+        parser.add_argument(f"--{flag.name}", **flag.metadata["flag"])
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument(
         "--list-scenarios",
@@ -446,21 +299,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     seeds = args.seeds if args.seeds else [args.seed]
-    outcomes = run_many(
-        names,
-        quick=not args.full,
-        seeds=seeds,
-        jobs=args.jobs,
-        trace=args.trace,
-        faults=args.faults,
-        report=args.report,
-        autoscale=args.autoscale,
-        overload=args.overload,
-        replicas=args.replicas,
-        governor=args.governor,
-        mega=args.mega,
-        shards=args.shards,
-    )
+    try:
+        cfg = RunConfig(
+            quick=not args.full,
+            seed=seeds[0],
+            **{flag.name: getattr(args, flag.name) for flag in RunConfig.flags()},
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    outcomes = run_many(names, cfg, seeds=seeds, jobs=args.jobs, shards=args.shards)
 
     for outcome in outcomes:
         print(outcome.report)

@@ -494,6 +494,38 @@ class LegionSystem:
         if self.services.tracer is not None:
             self.services.tracer.clear()
 
+    def runtimes(self, clients: Sequence[ObjectServer] = ()) -> List[Any]:
+        """Every runtime that issues requests: host objects, magistrates,
+        agents, the console, ``clients``, and each running process."""
+        servers = (
+            list(self.host_servers.values())
+            + list(self.magistrates.values())
+            + list(self.agents.values())
+            + [self.console]
+            + list(clients)
+        )
+        for host_server in self.host_servers.values():
+            for entry in host_server.impl.processes.running():
+                servers.append(entry.server)
+        return [s.runtime for s in servers]
+
+    def settled(self, clients: Sequence[ObjectServer] = ()) -> bool:
+        """Whether every runtime (see :meth:`runtimes`) settles, nothing
+        pending: ``requests_sent == replies_received + timeouts +
+        delivery_failures + cancelled + shed``."""
+        for runtime in self.runtimes(clients):
+            s = runtime.stats
+            done = (
+                s.replies_received
+                + s.timeouts
+                + s.delivery_failures
+                + s.cancelled
+                + s.shed
+            )
+            if s.requests_sent != done or runtime._pending:
+                return False
+        return True
+
     # ------------------------------------------------------------------- tracing
 
     def enable_tracing(self, recorder=None):

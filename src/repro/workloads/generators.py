@@ -15,7 +15,7 @@ try:  # numpy is the optional ``repro[mega]`` extra; only Zipf sampling needs it
 except ImportError:  # pragma: no cover - numpy-less installs only
     np = None  # type: ignore[assignment]
 
-from repro.errors import LegionError
+from repro.errors import LegionError, Overloaded
 from repro.core.server import ObjectServer
 from repro.naming.loid import LOID
 from repro.simkernel.futures import SimFuture, gather
@@ -212,6 +212,15 @@ class OpenLoopDriver(SessionLoopDriver):
     ``choose_call(client)`` returns ``(target_loid, method, args)`` per
     call, so a mixed workload (cheap method traffic plus occasional
     Create()s) is one callback.
+
+    ``phases`` -- a sequence of ``(duration, interval)`` -- replaces the
+    single rate with a schedule each client walks in order; a wait never
+    runs past its phase's end.  ``stagger`` delays client ``i``'s start
+    by ``i * stagger`` so N clients do not fire in synchronised bursts.
+    Every fired call leaves a record in ``records``: ``issue`` and
+    ``done`` times and an ``outcome`` of ``ok``, ``shed`` (an Overloaded
+    reply) or ``failed`` -- goodput and latency percentiles need the raw
+    samples, not just success counts.
     """
 
     kind = "openloop"
@@ -221,28 +230,71 @@ class OpenLoopDriver(SessionLoopDriver):
         kernel: SimKernel,
         clients: Sequence[ObjectServer],
         choose_call,
-        interval: float,
-        duration: float,
+        interval: float = 0.0,
+        duration: float = 0.0,
         timeout: Optional[float] = None,
+        *,
+        phases: Optional[Sequence[Tuple[float, float]]] = None,
+        stagger: float = 0.0,
     ) -> None:
         super().__init__(kernel, clients, timeout=timeout)
         self.choose_call = choose_call
         self.interval = interval
         self.duration = duration
+        self.phases = None if phases is None else list(phases)
+        self.stagger = stagger
+        self.records: List[Dict[str, Any]] = []
+
+    def _call(self, client: ObjectServer, target, method: str, args, rec):
+        try:
+            yield from client.runtime.invoke(
+                target, method, *args, timeout=self.timeout
+            )
+        except LegionError as exc:
+            rec["outcome"] = "shed" if isinstance(exc, Overloaded) else "failed"
+            self.stats.calls_failed += 1
+            if len(self.stats.errors) < 32:
+                self.stats.errors.append(f"{target}.{method}: {exc}")
+        else:
+            rec["outcome"] = "ok"
+            self.stats.calls_succeeded += 1
+        rec["done"] = self.kernel.now
+
+    def outcome_counts(self) -> Dict[str, int]:
+        """Fired calls by outcome."""
+        counts = {"ok": 0, "shed": 0, "failed": 0}
+        for rec in self.records:
+            counts[rec["outcome"]] += 1
+        return counts
+
+    def _fire(self, client: ObjectServer, calls: list) -> None:
+        target, method, args = self.choose_call(client)
+        self.stats.calls_issued += 1
+        rec: Dict[str, Any] = {"issue": self.kernel.now, "done": None, "outcome": "pending"}
+        self.records.append(rec)
+        calls.append(
+            self.kernel.spawn(
+                self._call(client, target, method, args, rec),
+                name=f"openloop-{client.loid}",
+            )
+        )
 
     def _client_loop(self, client: ObjectServer):
-        deadline = self.kernel.now + self.duration
-        calls = []
-        while self.kernel.now < deadline:
-            target, method, args = self.choose_call(client)
-            self.stats.calls_issued += 1
-            calls.append(
-                self.kernel.spawn(
-                    self._invoke_once(client, target, method, args),
-                    name=f"openloop-{client.loid}",
-                )
-            )
-            yield Timeout(self.interval)
+        offset = self.clients.index(client) * self.stagger
+        if offset > 0.0:
+            yield Timeout(offset)
+        calls: list = []
+        if self.phases is None:
+            deadline = self.kernel.now + self.duration
+            while self.kernel.now < deadline:
+                self._fire(client, calls)
+                yield Timeout(self.interval)
+        else:
+            for duration, interval in self.phases:
+                end = self.kernel.now + duration
+                while self.kernel.now < end:
+                    self._fire(client, calls)
+                    yield Timeout(min(interval, end - self.kernel.now))
         for fut in calls:  # drain: every fired call must resolve
             yield fut
 

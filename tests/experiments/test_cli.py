@@ -46,3 +46,22 @@ class TestCLI:
         # e12 does not take the trace kwarg; the flag must not crash it.
         assert main(["e12", "--quick", "--trace", str(tmp_path)]) == 0
         assert "all claims hold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["e13", "--faults", "-1"], "--faults"),
+            (["e15", "--overload", "0"], "--overload"),
+            (["e15", "--overload", "nan"], "--overload"),
+            (["e17", "--governor", "-2"], "--governor"),
+            (["e17", "--governor", "0"], "--governor"),
+            (["e14", "--autoscale", "0"], "--autoscale"),
+            (["e16", "--replicas", "0"], "--replicas"),
+            (["e9", "--mega", "0"], "--mega"),
+        ],
+    )
+    def test_invalid_flag_values_exit_2_naming_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -5,14 +5,16 @@ from __future__ import annotations
 import json
 import os
 
-from repro.experiments import e15_overload
+from repro.experiments.common import RunConfig
+from repro.experiments.runner import run_experiment
 
 
 def test_traced_overload_run_audits_and_exports(tmp_path):
     trace_dir = str(tmp_path / "traces")
     report_dir = str(tmp_path / "reports")
-    result = e15_overload.run(
-        quick=True, seed=0, overload=2, trace=trace_dir, report=report_dir
+    result = run_experiment(
+        "e15",
+        RunConfig(quick=True, seed=0, overload=2, trace=trace_dir, report=report_dir),
     )
     failed = [c for c in result.checks if not c.passed]
     assert not failed, [str(c) for c in failed]
@@ -31,6 +33,6 @@ def test_traced_overload_run_audits_and_exports(tmp_path):
 
 
 def test_overload_multiplier_overrides_the_sweep_top():
-    result = e15_overload.run(quick=True, seed=0, overload=3)
+    result = run_experiment("e15", RunConfig(quick=True, seed=0, overload=3))
     assert result.passed, [str(c) for c in result.checks if not c.passed]
     assert max(result.recorder.xs) == 3

@@ -10,11 +10,12 @@ the report artifact and the ``--list-scenarios`` listing.
 import json
 
 from repro.experiments import e18_scenarios, runner
+from repro.experiments.common import RunConfig
 from repro.scenarios import scenario_names
 
 
 def test_units_cover_the_scenario_x_arm_matrix():
-    units = e18_scenarios.shard_units(quick=True)
+    units = e18_scenarios.shard_units(RunConfig(quick=True))
     names = {u[0] for u in units}
     arms = {u[1] for u in units}
     assert names == set(scenario_names())
@@ -24,16 +25,16 @@ def test_units_cover_the_scenario_x_arm_matrix():
 
 def test_optional_flags_add_their_arms():
     units = e18_scenarios.shard_units(
-        quick=True, overload=6.0, autoscale=0.7, replicas=3
+        RunConfig(quick=True, overload=6.0, autoscale=0.7, replicas=3)
     )
     arms = {u[1] for u in units}
     assert {"overload", "autoscale", "replicas"} <= arms
 
 
 def test_e18_is_byte_identical_across_shards_under_the_subsystem_flags():
-    kwargs = dict(quick=True, seed=0, faults=2.0, governor=4.0, mega=50_000)
-    seq = runner.run_one("e18", shards=1, **kwargs)
-    par = runner.run_one("e18", shards=4, **kwargs)
+    cfg = RunConfig(quick=True, seed=0, faults=2.0, governor=4.0, mega=50_000)
+    seq = runner.run_one("e18", cfg, shards=1)
+    par = runner.run_one("e18", cfg, shards=4)
     assert seq.passed, seq.report
     assert seq.report == par.report
     assert "faults arm" in seq.report
@@ -43,8 +44,8 @@ def test_e18_is_byte_identical_across_shards_under_the_subsystem_flags():
 
 def test_report_artifact_is_written_and_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    ra = e18_scenarios.run(quick=True, seed=0, report=str(a))
-    rb = e18_scenarios.run(quick=True, seed=0, report=str(b))
+    ra = runner.run_experiment("e18", RunConfig(quick=True, seed=0, report=str(a)))
+    rb = runner.run_experiment("e18", RunConfig(quick=True, seed=0, report=str(b)))
     assert ra.passed and rb.passed
     pa = a / "e18-scenarios-seed0.json"
     pb = b / "e18-scenarios-seed0.json"

@@ -9,6 +9,7 @@ schedules) feed directly into the printed table and e15 whose per-call
 overload records decide every goodput figure.
 """
 
+from repro.experiments.common import RunConfig
 from repro.experiments.runner import RUNNERS, run_many
 
 MATRIX = [f"e{i}" for i in range(1, 16)]
@@ -20,8 +21,8 @@ def test_registry_covers_the_matrix():
 
 
 def test_jobs_1_and_jobs_4_reports_are_byte_identical():
-    sequential = run_many(MATRIX, quick=True, seeds=(0,), jobs=1)
-    parallel = run_many(MATRIX, quick=True, seeds=(0,), jobs=4)
+    sequential = run_many(MATRIX, RunConfig(quick=True), seeds=(0,), jobs=1)
+    parallel = run_many(MATRIX, RunConfig(quick=True), seeds=(0,), jobs=4)
     assert [(o.name, o.seed) for o in sequential] == [
         (o.name, o.seed) for o in parallel
     ]

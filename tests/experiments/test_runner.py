@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.experiments.common import RunConfig
 from repro.experiments.runner import (
     RUNNERS,
+    Experiment,
     RunOutcome,
     main,
     render_summary,
@@ -13,7 +15,7 @@ from repro.experiments.runner import (
 
 
 def test_run_one_returns_primitives():
-    outcome = run_one("e1", quick=True, seed=0)
+    outcome = run_one("e1", RunConfig(quick=True, seed=0))
     assert outcome.name == "e1"
     assert outcome.experiment == "E1"
     assert outcome.passed
@@ -25,24 +27,26 @@ def test_run_one_returns_primitives():
 def test_parallel_matches_sequential():
     # e13 rides along: chaos runs must be byte-identical across job counts.
     names = ["e1", "e12", "e13"]
-    seq = run_many(names, quick=True, seeds=(0,), jobs=1)
-    par = run_many(names, quick=True, seeds=(0,), jobs=2)
+    seq = run_many(names, RunConfig(quick=True), seeds=(0,), jobs=1)
+    par = run_many(names, RunConfig(quick=True), seeds=(0,), jobs=2)
     assert [o.report for o in par] == [o.report for o in seq]
     assert [o.passed for o in par] == [o.passed for o in seq]
     assert [(o.name, o.seed) for o in par] == [("e1", 0), ("e12", 0), ("e13", 0)]
 
 
 def test_multi_seed_ordering():
-    outcomes = run_many(["e1"], quick=True, seeds=(0, 1), jobs=2)
+    outcomes = run_many(["e1"], RunConfig(quick=True), seeds=(0, 1), jobs=2)
     assert [(o.name, o.seed) for o in outcomes] == [("e1", 0), ("e1", 1)]
 
 
 def test_crashed_experiment_is_a_failure(monkeypatch):
-    def boom(quick, seed):
+    def boom(_unit, _cfg):
         raise RuntimeError("injected crash")
 
-    monkeypatch.setitem(RUNNERS, "e1", boom)
-    outcome = run_one("e1", quick=True, seed=0)
+    monkeypatch.setitem(
+        RUNNERS, "e1", Experiment(lambda _cfg: [None], boom, lambda p, _cfg: p[0])
+    )
+    outcome = run_one("e1", RunConfig(quick=True, seed=0))
     assert not outcome.passed
     assert "injected crash" in outcome.report
 

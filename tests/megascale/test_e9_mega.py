@@ -13,15 +13,16 @@ import pytest
 
 from repro.errors import LegionError
 from repro.experiments import e9_scaling
-from repro.experiments.runner import run_one
+from repro.experiments.common import RunConfig
+from repro.experiments.runner import run_experiment, run_one
 from repro.megascale.adapters import e9_mega_sizes
 
 MEGA = 20_000  # ladder: [10_000, 20_000] under the LADDER_FLOOR
 
 
 def test_mega_units_extend_the_sweep():
-    base = e9_scaling.shard_units(quick=True)
-    mega = e9_scaling.shard_units(quick=True, mega=MEGA)
+    base = e9_scaling.shard_units(RunConfig(quick=True))
+    mega = e9_scaling.shard_units(RunConfig(quick=True, mega=MEGA))
     assert base == [u for u in mega if u[0] != "mega"]
     assert [u for u in mega if u[0] == "mega"] == [
         ("mega", 10_000),
@@ -39,27 +40,28 @@ def test_ladder_floor_and_dedup():
 
 
 def test_shards_1_and_2_mega_reports_are_byte_identical():
-    seq = run_one("e9", quick=True, seed=0, shards=1, mega=MEGA)
-    par = run_one("e9", quick=True, seed=0, shards=2, mega=MEGA)
+    cfg = RunConfig(quick=True, seed=0, mega=MEGA)
+    seq = run_one("e9", cfg, shards=1)
+    par = run_one("e9", cfg, shards=2)
     assert seq.passed, f"e9 --mega failed sequentially:\n{seq.report}"
     assert seq.report == par.report, "e9 --mega diverged across --shards"
     assert "mega" in seq.report
 
 
 def test_mega_run_exposes_the_slope_for_the_bench_gate():
-    result = e9_scaling.run(quick=True, seed=0, mega=MEGA)
+    result = run_experiment("e9", RunConfig(quick=True, seed=0, mega=MEGA))
     assert result.passed, result.render()
     assert hasattr(result, "mega_slope")
     assert result.mega_slope < 0.35
 
 
 def test_run_composes_from_the_shard_hooks_with_mega():
+    cfg = RunConfig(quick=True, seed=0, mega=MEGA)
     partials = [
-        e9_scaling.shard_measure(unit, quick=True, seed=0, mega=MEGA)
-        for unit in e9_scaling.shard_units(quick=True, mega=MEGA)
+        e9_scaling.shard_measure(unit, cfg) for unit in e9_scaling.shard_units(cfg)
     ]
-    composed = e9_scaling.shard_finish(partials, quick=True, seed=0, mega=MEGA)
-    direct = e9_scaling.run(quick=True, seed=0, mega=MEGA)
+    composed = e9_scaling.shard_finish(partials, cfg)
+    direct = run_experiment("e9", cfg)
     assert composed.render() == direct.render()
 
 

@@ -30,7 +30,7 @@ import argparse
 import json
 import time
 
-from repro.megascale.adapters import e9_mega_sizes, run_e9_mega_unit
+from repro.experiments.e9_scaling import e9_mega_sizes, run_e9_mega_unit
 from repro.megascale.compat import require_numpy
 from repro.megascale.scenario import differential_spec, run_columnar, run_rich
 

@@ -25,13 +25,16 @@ state: byte-identical across --jobs 1 and --jobs N.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from repro.autoscale import AutoscaleConfig
 from repro.experiments.common import ExperimentResult, write_report
 from repro.experiments.stack import StackSpec, build
-from repro.metrics.counters import ComponentKind
+from repro.megascale.compat import require_numpy
+from repro.megascale.frame import StateFrame
+from repro.metrics.counters import ComponentId, ComponentKind, MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
+from repro.simkernel.rng import RngStreams
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
 from repro.workloads.generators import OpenLoopDriver
@@ -58,6 +61,9 @@ MAX_CLONES = 8
 #: converge before the measured window opens.
 WARMUP_BASE = 400.0
 WARMUP_PER_CLONE = 550.0
+#: Mega arm: refresh the pool snapshot every this-many controller ticks
+#: (the router cadence).
+POOL_POLL_TICKS = 5
 
 #: The autoscaled arm: a CloneController over the hot class, placing
 #: clones through a LeastLoadedPlacementAgent.
@@ -77,8 +83,8 @@ def _expected_members(level: int) -> int:
     return min(MAX_CLONES + 1, max(1, math.ceil(total_rate / HIGH_WATER)))
 
 
-def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
-    measure = 500.0 if quick else 1_200.0
+def _testbed(seed: int):
+    """The 2-site system and its hot class, for either arm."""
     system = LegionSystem.build(
         [
             SiteSpec("east", hosts=3, max_processes=MAX_PROCESSES),
@@ -86,7 +92,12 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
         ],
         seed=seed,
     )
-    hot = system.create_class("HotClass", factory=CounterImpl)
+    return system, system.create_class("HotClass", factory=CounterImpl)
+
+
+def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
+    measure = 500.0 if quick else 1_200.0
+    system, hot = _testbed(seed)
 
     if autoscaled:
         stack = build(system, AUTOSCALED, hot=hot)
@@ -158,6 +169,107 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
     }
 
 
+def run_mega_autoscale(level: int, seed: int, quick: bool, population: int) -> Dict[str, Any]:
+    """One load level with a columnar mega-scale caller population.
+
+    The frame rows are *callers*: each carries a binding-cache entry (the
+    ``cache_epoch`` column plus a cached pool-member index).  Every
+    controller tick a seeded vectorised draw picks the active callers;
+    the stale ones (their cached epoch trails the pool's) lazily re-fetch
+    the pool -- exactly the ClonePoolRouter contract, amortised over
+    millions of cache entries -- and the tick's demand, the live fleet's
+    offered rate at this level, lands on the real pool members'
+    CLASS_OBJECT counters.  The autoscaled stack's LoadMonitor and
+    CloneController see the same signal ordinary clients would generate,
+    and react with real Clone()/RetireClone() traffic.
+    """
+    np = require_numpy("the E14 mega-scale phase")
+    system, hot = _testbed(seed)
+    stack = build(system, AUTOSCALED, hot=hot)
+
+    # The caller population: one frame row per caller.  ``cache_epoch``
+    # is the binding-cache column; the cached pool-member index rides in
+    # a parallel array (it is only meaningful next to its epoch).
+    frame = StateFrame(n_classes=1, n_hosts=4)
+    frame.extend(
+        population,
+        klass=np.zeros(population, dtype=np.int32),
+        host=(np.arange(population, dtype=np.int64) % 4).astype(np.int32),
+    )
+    member = np.zeros(population, dtype=np.int32)
+
+    demand_per_tick = max(1, round(N_CLIENTS / BASE_INTERVAL * level * TICK))
+    expected = _expected_members(level)
+    warmup_ticks = math.ceil((WARMUP_BASE + WARMUP_PER_CLONE * (expected - 1)) / TICK)
+    measure_ticks = 40 if quick else 100
+    stream = RngStreams(seed).numpy_stream(f"e14-mega-{level}")
+
+    metrics = system.services.metrics
+    rebinds = 0
+    issued = 0
+    routed = 0
+    peak_members = 1
+    max_member_calls = 0
+    start = system.kernel.now
+    epoch, pool = system.call(hot.loid, "GetClonePool")
+    for k in range(warmup_ticks + measure_ticks):
+        if k % POOL_POLL_TICKS == 0:
+            # Refresh the pool snapshot on the router cadence, not every
+            # tick: callers bound to an older epoch keep routing into the
+            # stale snapshot until they next call (lazy rebind), and the
+            # polling traffic itself stays negligible next to the
+            # injected demand.
+            epoch, pool = system.call(hot.loid, "GetClonePool")
+            pool_names = [str(b.loid) for b in pool]
+        peak_members = max(peak_members, len(pool))
+        active = stream.integers(0, population, size=demand_per_tick)
+        stale = frame.cache_epoch[active] != epoch
+        stale_ids = active[stale]
+        if stale_ids.size:
+            rebinds += int(stale_ids.size)
+            member[stale_ids] = (stale_ids % len(pool)).astype(np.int32)
+            frame.cache_epoch[stale_ids] = epoch
+        counts = np.bincount(member[active], minlength=len(pool))
+        issued += int(active.size)
+        if k == warmup_ticks:
+            system.reset_measurements()
+        for m, count in enumerate(counts.tolist()):
+            if count:
+                routed += count
+                metrics.incr(
+                    ComponentId(ComponentKind.CLASS_OBJECT, pool_names[m]),
+                    MetricsRegistry.REQUESTS,
+                    count,
+                )
+                if k >= warmup_ticks:
+                    max_member_calls = max(max_member_calls, count)
+        np.add.at(frame.value, active, 1)  # the caller-side call tally
+        system.kernel.run(until=start + (k + 1) * TICK)
+    final_members = len(system.call(hot.loid, "GetClonePool")[1])
+    stack.settle()  # with the demand gone the pool must drain back
+
+    final_epoch, final_pool = system.call(hot.loid, "GetClonePool")
+    fresh = frame.cache_epoch == final_epoch
+    return {
+        "level": level,
+        "population": population,
+        "issued": issued,
+        "routed": routed,
+        "rebinds": rebinds,
+        "expected_members": expected,
+        "peak_members": peak_members,
+        "final_members_at_load": final_members,
+        "max_member_calls_per_tick": max_member_calls,
+        "drained_to_min": stack.drained_to_min,
+        "fresh_members_valid": bool((member[fresh] < len(final_pool)).all()),
+        "stale_fraction_final": round(float((~fresh).sum()) / population, 6),
+        "caller_calls_total": int(frame.value.sum()),
+        "allocator_high_water": frame.allocator.high_water,
+        "sim_clock": system.kernel.now,
+        "sim_events": system.kernel.events_executed,
+    }
+
+
 def _run_mega(
     quick: bool, seed: int, levels: list, mega: int
 ) -> ExperimentResult:
@@ -169,8 +281,6 @@ def _run_mega(
     loop reacts to mega-population demand exactly as it would to
     ordinary clients, including lazy rebinds when the pool epoch moves.
     """
-    from repro.megascale.adapters import run_mega_autoscale
-
     recorder = SeriesRecorder(x_label="load_multiplier")
     result = ExperimentResult(
         experiment="E14",

@@ -42,8 +42,12 @@ from repro.experiments.common import (
     write_report,
 )
 from repro.experiments.stack import StackSpec, build, serial_flow
+from repro.megascale.compat import require_numpy
+from repro.megascale.engine import QCAP_TICKS, BulkEngine
+from repro.megascale.frame import StateFrame
 from repro.metrics.counters import MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
+from repro.simkernel.rng import RngStreams
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.trace.audit import TraceAudit
 from repro.workloads.apps import SerialServiceImpl
@@ -151,6 +155,81 @@ def _run_level(level: int, seed: int, quick: bool, arm: str, trace) -> Dict[str,
     }
 
 
+#: Mega arm: aggregate service per tick is the population / this.
+MEGA_CAP_FRACTION = 50
+#: Mega arm: a served call is goodput only if it queued <= this many ticks.
+MEGA_DEADLINE_TICKS = 6
+
+
+def run_mega_overload(
+    level: int, arm: str, seed: int, quick: bool, population: int
+) -> Dict[str, Any]:
+    """One (level, arm) unit over a mega-scale object frame.
+
+    Each tick's arrivals, a seeded draw over the whole population, queue
+    at their object's host: a :class:`BulkEngine` grouped by host, which
+    admits them in dense-id order within each host (so the admission cut
+    is deterministic) and serves each host's queue oldest first.  The
+    **flow** arm caps every host queue at ``QCAP_TICKS`` ticks of service
+    and sheds the excess; the **baseline** admits everything, so its
+    queues -- and the delay before each serve -- grow without bound and
+    goodput collapses.
+    """
+    np = require_numpy("the E15 mega-scale phase")
+    n_hosts = max(8, population // 125_000)
+    n_classes = max(4, population // 1_000)
+    cap_per_host = max(1, population // MEGA_CAP_FRACTION // n_hosts)
+    qcap = QCAP_TICKS * cap_per_host
+    ticks = 12 if quick else 30
+    draws_per_tick = max(1, level * population // MEGA_CAP_FRACTION)
+
+    frame = StateFrame(n_classes=n_classes, n_hosts=n_hosts)
+    ids = np.arange(population, dtype=np.int64)
+    frame.extend(
+        population,
+        klass=(ids % n_classes).astype(np.int32),
+        host=(ids % n_hosts).astype(np.int32),
+    )
+    engine = BulkEngine(
+        frame,
+        group="host",
+        queue_cap=qcap if arm == "flow" else None,
+        service=cap_per_host,
+    )
+    stream = RngStreams(seed).numpy_stream(f"e15-mega-{level}-{arm}")
+    good = 0
+    for tick in range(ticks):
+        out = engine.tick(tick, np.sort(stream.integers(0, population, size=draws_per_tick)))
+        # A tick's serves drain the oldest queued work: they are on time
+        # iff the backlog they sat behind fits inside the deadline.
+        queued = engine.backlog + out.served_work
+        on_time = queued // cap_per_host <= MEGA_DEADLINE_TICKS
+        good += int(out.served_work[on_time].sum())
+
+    ledger = engine.ledger
+    queued_end = int(engine.backlog.sum())
+    return {
+        "level": level,
+        "arm": arm,
+        "population": population,
+        "issued": ledger.issued,
+        "admitted": ledger.admitted,
+        "shed": ledger.shed,
+        "served": ledger.bulk_completed,
+        "good": good,
+        "queued_end": queued_end,
+        "goodput_x": round(good / (ticks * cap_per_host * n_hosts), 4),
+        "max_queue": int(engine.backlog.max()),
+        "qcap": qcap,
+        "settled": ledger.issued == ledger.admitted + ledger.shed
+        and ledger.admitted == ledger.bulk_completed + queued_end,
+        "class_calls_total": int(frame.class_calls.sum()),
+        "checksum": frame.value_checksum(),
+        "sim_clock": float(ticks),
+        "sim_events": ledger.issued,
+    }
+
+
 def shard_units(cfg: RunConfig) -> list:
     """The independent work units of one E15 sweep.
 
@@ -176,8 +255,6 @@ def shard_measure(unit, cfg: RunConfig) -> Dict[str, Any]:
     """
     level, arm = unit
     if cfg.mega is not None:
-        from repro.megascale.adapters import run_mega_overload
-
         return run_mega_overload(
             level, arm, seed=cfg.seed, quick=cfg.quick, population=cfg.mega
         )

@@ -24,7 +24,7 @@ are flat (log-log slope ≈ 0) while the strawman's bottleneck grows
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.experiments.common import (
     ExperimentResult,
@@ -32,6 +32,7 @@ from repro.experiments.common import (
     export_trace,
     uniform_sites,
 )
+from repro.megascale.scenario import MegaScenario, run_columnar
 from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
 from repro.system.legion import LegionSystem
@@ -131,6 +132,62 @@ def _run_config(
     return maxima, spans, counts
 
 
+#: The mega size ladder spans two decades below the requested scale, so
+#: the log-log load fit has range, but no rung goes below this floor.
+LADDER_FLOOR = 10_000
+
+
+def e9_mega_sizes(mega: int, quick: bool = True) -> List[int]:
+    """The population rungs of one ``--mega`` ladder (sorted, deduplicated)."""
+    mega = int(mega)
+    floor = min(LADDER_FLOOR, mega)
+    return sorted({max(floor, mega // 100), max(floor, mega // 10), mega})
+
+
+def e9_mega_spec(size: int, quick: bool = True) -> MegaScenario:
+    """One rung's scenario: classes, host slots, and traffic all ∝ size.
+
+    Scaling every axis together is the point: per-class offered load is
+    then *flat* in the population, so a flat max-class-load curve means
+    no component's load is an increasing function of system size -- the
+    paper's principle restated at 10^6-10^7 objects.
+    """
+    return MegaScenario(
+        population=size,
+        n_classes=max(4, size // 1_000),
+        bulk_hosts=max(4, size // 2_000),
+        ticks=3 if quick else 5,
+        calls_per_tick=max(256, size // 2),
+        hot=4,
+        touches_per_tick=2,
+        demote_after=2,
+    )
+
+
+def run_e9_mega_unit(size: int, seed: int, quick: bool = True) -> Dict:
+    """One ladder rung: the whole population in a frame, the standing hot
+    set escalated into a live system; returns the deterministic partial."""
+    spec = e9_mega_spec(size, quick)
+    out = run_columnar(spec, seed=seed)
+    report, diag = out.report, out.diagnostics
+    return {
+        "size": size,
+        "n_classes": spec.n_classes,
+        "issued": report.issued,
+        "completed": report.completed,
+        "shed": report.shed,
+        "max_class_load": max(report.class_calls),
+        "checksum": report.value_checksum,
+        "settled": report.settled,
+        "wire_settled": report.wire_settled,
+        "promotions": diag["promotions"],
+        "demotions": diag["demotions"],
+        "allocator_high_water": diag["allocator_high_water"],
+        "sim_clock": out.sim_clock,
+        "sim_events": out.sim_events,
+    }
+
+
 def shard_units(cfg: RunConfig) -> list:
     """The independent work units of one E9 sweep.
 
@@ -142,15 +199,13 @@ def shard_units(cfg: RunConfig) -> list:
     With ``mega`` (the ``--mega N`` flag), the columnar size ladder rides
     along: one extra ``("mega", population)`` unit per rung, each running
     the whole population through the frame-at-once backend with a live
-    escalation boundary (see :mod:`repro.megascale.adapters`).
+    escalation boundary (see :func:`run_e9_mega_unit`).
     """
     sweep = [2, 4, 8] if cfg.quick else [2, 4, 8, 16, 32]
     units = [
         (arm, n_sites) for n_sites in sweep for arm in ("mitigated", "strawman")
     ]
     if cfg.mega is not None:
-        from repro.megascale.adapters import e9_mega_sizes
-
         units.extend(("mega", size) for size in e9_mega_sizes(cfg.mega, cfg.quick))
     return units
 
@@ -159,8 +214,6 @@ def shard_measure(unit, cfg: RunConfig) -> dict:
     """Run one unit; returns a picklable partial for :func:`shard_finish`."""
     arm, n_sites = unit
     if arm == "mega":
-        from repro.megascale.adapters import run_e9_mega_unit
-
         partial = run_e9_mega_unit(n_sites, seed=cfg.seed, quick=cfg.quick)
         partial["arm"] = "mega"
         return partial

@@ -397,9 +397,14 @@ class MagistrateImpl(LegionObjectImpl):
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
         opr = self.jurisdiction.vault.load_opr(loid)
         self._checked(opr)
+        # An activation that repairs a loss keeps the vault copy: it is the
+        # checkpoint the next crash must restore from.  Read the flag now,
+        # since a concurrent activation may clear it while this one waits.
+        repairs = record.lost
         host = yield from self._choose_host(host_hint, env, loid)
         address = yield from self.runtime.invoke(host, "Activate", opr, env=env)
-        self.jurisdiction.vault.delete_opr(loid)
+        if not repairs:
+            self.jurisdiction.vault.delete_opr(loid)
         record.state = ObjectState.ACTIVE
         record.host = host
         record.address = address
@@ -526,15 +531,9 @@ class MagistrateImpl(LegionObjectImpl):
                 return record.address  # transient fault; the address works
             if record.state is ObjectState.ACTIVE:
                 self._demote_to_inert(record, "process lost")
-        # Inert now: reactivate from the persisted OPR -- but keep the
-        # checkpoint, because activate_on consumes the vault copy and a
-        # second crash before the next checkpoint must not lose the state.
-        checkpoint = None
-        if self.jurisdiction.vault.holds(loid):
-            checkpoint = self.jurisdiction.vault.load_opr(loid)
+        # Inert now: reactivate from the persisted OPR (activate_on keeps
+        # a lost object's copy as the checkpoint for the next crash).
         address = yield from self.activate_on(loid, None, ctx=ctx)
-        if checkpoint is not None:
-            self.jurisdiction.vault.store_opr(checkpoint)
         return address
 
     @legion_method("list SweepHosts()")

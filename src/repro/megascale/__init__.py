@@ -17,7 +17,7 @@ always safe, but constructing a frame without numpy raises a
 from repro.megascale.compat import HAVE_NUMPY, require_numpy
 from repro.megascale.frame import BULK, LOST, PROMOTED, IdAllocator, StateFrame
 from repro.megascale.engine import BulkEngine, EngineLedger, TickOutcome
-from repro.megascale.reference import ReferenceMachine, RefLedger, RefObject
+from repro.megascale.reference import ReferenceMachine, RefObject
 from repro.megascale.scenario import (
     LiveEscalationBoundary,
     MegaOutcome,
@@ -41,7 +41,6 @@ __all__ = [
     "EngineLedger",
     "TickOutcome",
     "ReferenceMachine",
-    "RefLedger",
     "RefObject",
     "LiveEscalationBoundary",
     "MegaOutcome",

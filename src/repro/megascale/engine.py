@@ -2,10 +2,15 @@
 
 :class:`BulkEngine` drives a :class:`~repro.megascale.frame.StateFrame`
 through ticks: each tick takes the whole tick's call targets as one array
-and applies them with a handful of vectorised operations (bincount the
-arrivals, clip at the admission limit, scatter-add the serves and sheds,
-tally per class and per host).  No per-object Python runs for the bulk
+and applies them with a handful of vectorised operations (admit against
+the carryover queues, scatter-add the admissions and sheds, serve the
+queues, tally per class).  No per-object Python runs for the bulk
 population -- that is the entire point.
+
+Admission has one model: each bulk call joins the carryover queue of
+its group (the row, or the row's host), which holds at most
+``queue_cap`` work, serves ``service`` work per tick FIFO, and admits a
+tick's calls as a prefix in caller order (DESIGN.md section 4j).
 
 The *escalation boundary* is where the bulk world meets the rich-object
 path.  Any id the scenario actually touches -- a call on a designated
@@ -26,10 +31,17 @@ and routes escalated calls through ``runtime.invoke``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import LegionError
-from repro.megascale.frame import BULK, LOST, PROMOTED, StateFrame
+from repro.megascale.frame import BULK, PROMOTED, StateFrame
+
+#: A group's queue cap, in ticks of its service: E15's and E18's mega
+#: arms both bound their carryover queues at this many ticks of work.
+QCAP_TICKS = 4
+
+#: Slack when comparing accumulated work: float costs add up inexactly.
+EPS = 1e-9
 
 
 @dataclass
@@ -38,9 +50,12 @@ class TickOutcome:
 
     tick: int
     issued: int = 0
+    admitted: int = 0
     bulk_served: int = 0
     escalated: int = 0
     shed: int = 0
+    #: Work each group served this tick (numpy array over groups).
+    served_work: Any = None
 
 
 @dataclass
@@ -49,10 +64,11 @@ class EngineLedger:
 
     The identity mirrors the runtime's: every issued logical call must be
     accounted for -- served frame-at-once, served by a rich twin after
-    escalation, or shed at the bulk admission limit.
+    escalation, or shed at admission (queued calls are still pending).
     """
 
     issued: int = 0
+    admitted: int = 0
     bulk_completed: int = 0
     escalated_issued: int = 0
     escalated_completed: int = 0
@@ -75,9 +91,11 @@ class BulkEngine:
     """Vectorised transitions for the bulk band + the escalation boundary.
 
     ``hot_ids`` are the scenario's standing "interesting set": calls to
-    them always escalate.  ``per_tick_limit`` caps how many calls one
-    bulk row admits per tick; the excess is shed (and tallied -- the
-    settlement identity keeps its ``+ shed`` term).
+    them always escalate.  ``group``, ``queue_cap`` and ``service`` set
+    the admission model (module docstring); ``None`` leaves the cap or
+    the service unbounded.  ``per_tick_limit=L`` is shorthand for
+    ``group="row", queue_cap=L, service=L``.  Shed calls are tallied --
+    the settlement identity keeps its ``+ shed`` term.
     """
 
     def __init__(
@@ -87,16 +105,33 @@ class BulkEngine:
         per_tick_limit: Optional[int] = None,
         boundary=None,
         demote_after: int = 3,
+        *,
+        group: str = "row",
+        queue_cap: Optional[float] = None,
+        service: Optional[float] = None,
     ) -> None:
+        if group not in ("row", "host"):
+            raise LegionError(f"group must be 'row' or 'host', got {group!r}")
+        if per_tick_limit is not None:
+            queue_cap = service = per_tick_limit
         self.np = frame.np
         self.frame = frame
         self.boundary = boundary
-        self.per_tick_limit = per_tick_limit
+        self.group = group
+        self.queue_cap = queue_cap
+        self.service = service
         self.demote_after = int(demote_after)
         self.ledger = EngineLedger()
         self.hot = self.np.zeros(frame.size, dtype=bool)
         for i in hot_ids:
             self.hot[i] = True
+        #: Admitted, unserved work per group (rows, or host slots).
+        self.backlog = self.np.zeros(frame.size if group == "row" else frame.n_hosts)
+        #: Costed calls complete one by one: each queued one keeps its
+        #: group and the work ahead of it, itself included.
+        self._costed = False
+        self._pending_group = self.np.empty(0, dtype=self.np.int64)
+        self._pending_work = self.np.empty(0)
         #: promoted id → last tick a call touched it (drives demotion).
         self._last_touch: Dict[int, int] = {}
         #: promoted id → dict twin (only when no live boundary is set).
@@ -104,52 +139,104 @@ class BulkEngine:
 
     # ------------------------------------------------------------------ kernels
 
-    def tick(self, tick: int, targets) -> TickOutcome:
-        """Apply one tick's calls: bulk frame-at-once, the rest escalated."""
+    def tick(self, tick: int, targets, costs=None) -> TickOutcome:
+        """Apply one tick's calls: bulk frame-at-once, the rest escalated.
+
+        ``costs`` optionally gives each call's work (default 1 each).
+        The queues are served even when ``targets`` is empty, so empty
+        ticks drain the backlog.
+        """
         np = self.np
         frame = self.frame
         t = np.asarray(targets, dtype=np.int64)
         out = TickOutcome(tick=tick, issued=int(t.size))
         self.ledger.issued += out.issued
-        if t.size == 0:
-            return out
         if bool((t >= frame.size).any()) or bool((t < 0).any()):
             raise LegionError("tick: target id out of range")
+        if costs is not None:
+            costs = np.asarray(costs, dtype=float)
+            if costs.shape != t.shape:
+                raise LegionError("tick: costs must match targets one to one")
 
         escalate_mask = self.hot[t] | (frame.state[t] != BULK)
-        bulk_targets = t[~escalate_mask]
-        esc_targets = t[escalate_mask]
-
-        # --- the bulk band: one pass of array arithmetic for the lot.
-        if bulk_targets.size:
-            arrivals = np.bincount(bulk_targets, minlength=frame.size)
-            if self.per_tick_limit is not None:
-                served = np.minimum(arrivals, self.per_tick_limit)
-                shed = arrivals - served
-            else:
-                served = arrivals
-                shed = np.zeros_like(arrivals)
-            frame.value += served
-            frame.calls += served
-            frame.shed += shed
-            frame.queue[: arrivals.size] = arrivals.astype(np.int32)
-            frame.class_calls += np.bincount(
-                frame.klass, weights=served, minlength=frame.n_classes
-            ).astype(np.int64)
-            if bool(shed.any()):
-                frame.class_sheds += np.bincount(
-                    frame.klass, weights=shed, minlength=frame.n_classes
-                ).astype(np.int64)
-            out.bulk_served = int(served.sum())
-            out.shed = int(shed.sum())
-            self.ledger.bulk_completed += out.bulk_served
-            self.ledger.shed += out.shed
+        if not bool(escalate_mask.all()):
+            bulk = ~escalate_mask
+            self._admit(t[bulk], None if costs is None else costs[bulk], out)
+        self._serve(out)
 
         # --- the escalated set: promote on first touch, then call rich.
+        esc_targets = t[escalate_mask]
         for i in esc_targets.tolist():
             self._escalated_call(int(i), tick)
         out.escalated = int(esc_targets.size)
         return out
+
+    def _admit(self, rows, costs, out: TickOutcome) -> None:
+        """Admit a prefix of each group's calls, in caller order; shed the rest."""
+        np = self.np
+        frame = self.frame
+        costed = costs is not None
+        if costed != self._costed:
+            if bool(self.backlog.any()):
+                raise LegionError(
+                    "tick: costed and unit-cost calls cannot share a queue; "
+                    "drain it first"
+                )
+            self._costed = costed
+        if not costed and self.service is not None and self.service != int(self.service):
+            raise LegionError("tick: unit-cost calls need a whole-number service")
+        n = rows.size
+        groups = rows if self.group == "row" else frame.host[rows].astype(np.int64)
+        # Group the calls, keeping caller order within each group: the
+        # composite keys are distinct, so a plain sort is a stable one.
+        keys = np.sort(groups * n + np.arange(n, dtype=np.int64))
+        order, g = keys % n, keys // n
+        step = costs[order] if costed else np.ones(n)
+        work = np.cumsum(step)
+        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        before = np.repeat(np.r_[0.0, work[starts[1:] - 1]], np.diff(np.r_[starts, n]))
+        # Work queued in the group up to and including each call.
+        ahead = self.backlog[g] + (work - before)
+        if self.queue_cap is None:
+            ok = np.ones(n, dtype=bool)
+        else:
+            ok = ahead <= self.queue_cap + EPS
+        np.add.at(self.backlog, g[ok], step[ok])
+        if costed:
+            self._pending_group = np.r_[self._pending_group, g[ok]]
+            self._pending_work = np.r_[self._pending_work, ahead[ok]]
+
+        sorted_rows = rows[order]
+        admitted, shed = sorted_rows[ok], sorted_rows[~ok]
+        np.add.at(frame.value, admitted, 1)
+        np.add.at(frame.calls, admitted, 1)
+        frame.class_calls += np.bincount(frame.klass[admitted], minlength=frame.n_classes)
+        if shed.size:
+            np.add.at(frame.shed, shed, 1)
+            frame.class_sheds += np.bincount(frame.klass[shed], minlength=frame.n_classes)
+        out.admitted = int(admitted.size)
+        out.shed = int(shed.size)
+        self.ledger.admitted += out.admitted
+        self.ledger.shed += out.shed
+
+    def _serve(self, out: TickOutcome) -> None:
+        """Every group serves its queue FIFO, up to ``service`` work."""
+        np = self.np
+        if self.service is None:
+            served = self.backlog.copy()
+        else:
+            served = np.minimum(self.backlog, self.service)
+        self.backlog -= served
+        if self._costed:
+            self._pending_work -= served[self._pending_group]
+            left = self._pending_work > EPS
+            out.bulk_served = int(left.size - left.sum())
+            self._pending_group = self._pending_group[left]
+            self._pending_work = self._pending_work[left]
+        else:
+            out.bulk_served = int(served.sum())
+        out.served_work = served
+        self.ledger.bulk_completed += out.bulk_served
 
     def _escalated_call(self, i: int, tick: int) -> None:
         """Route one call through the rich-object path (promoting first)."""

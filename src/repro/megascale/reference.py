@@ -1,10 +1,12 @@
 """The per-agent reference machine: the frame kernels, one object at a time.
 
 This is the differential twin of :class:`~repro.megascale.engine.BulkEngine`:
-the same scenario semantics -- admission limit, shedding, escalation on
-touch, fault promotion, idle demotion, the settlement identity --
-implemented over plain Python dicts with an explicit per-object loop and
-*no numpy anywhere*.  The property and differential tests drive both
+the same scenario semantics -- carryover-queue admission per row or per
+host (cap, service, unit or per-call costs, prefix admission, FIFO
+service), shedding, escalation on touch, fault promotion, idle demotion,
+the settlement identity -- implemented over plain Python dicts with an
+explicit per-call loop, a real FIFO queue per group, and *no numpy
+anywhere*.  The property and differential tests drive both
 machines with identical seeded inputs and assert the final states,
 ledgers, and checksums are equal; the columnar backend is only trusted
 where this twin proves it interchangeable.
@@ -12,11 +14,12 @@ where this twin proves it interchangeable.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import Counter, deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import LegionError
+from repro.megascale.engine import EPS, EngineLedger
 
 _CHECKSUM_MOD = 2305843009213693951  # 2**61 - 1, matches StateFrame
 
@@ -33,27 +36,6 @@ class RefObject:
     shed: int = 0
 
 
-@dataclass
-class RefLedger:
-    """Mirror of :class:`~repro.megascale.engine.EngineLedger`."""
-
-    issued: int = 0
-    bulk_completed: int = 0
-    escalated_issued: int = 0
-    escalated_completed: int = 0
-    shed: int = 0
-    promotions: int = 0
-    demotions: int = 0
-    fault_promotions: int = 0
-    promoted_by_fault: List[int] = field(default_factory=list)
-
-    def settled(self) -> bool:
-        return (
-            self.issued
-            == self.bulk_completed + self.escalated_completed + self.shed
-        )
-
-
 class ReferenceMachine:
     """Per-agent twin of the columnar engine (see module docstring)."""
 
@@ -64,19 +46,29 @@ class ReferenceMachine:
         hot_ids=(),
         per_tick_limit: Optional[int] = None,
         demote_after: int = 3,
+        *,
+        group: str = "row",
+        queue_cap: Optional[float] = None,
+        service: Optional[float] = None,
     ) -> None:
+        if per_tick_limit is not None:
+            queue_cap = service = per_tick_limit
         self.n_classes = n_classes
         self.n_hosts = n_hosts
-        self.per_tick_limit = per_tick_limit
+        self.group = group
+        self.queue_cap = queue_cap
+        self.service = service
         self.demote_after = int(demote_after)
         self.objects: List[RefObject] = []
         self.hot = set(int(i) for i in hot_ids)
         self.host_up = [True] * n_hosts
         self.class_calls = [0] * n_classes
         self.class_sheds = [0] * n_classes
-        self.ledger = RefLedger()
+        self.ledger = EngineLedger()
         self._twins: Dict[int, int] = {}  # promoted id → twin value
         self._last_touch: Dict[int, int] = {}
+        #: group → FIFO of its queued calls' remaining work.
+        self.queues: Dict[int, Deque[float]] = {}
 
     def extend(self, count: int, klass, host) -> List[int]:
         """Allocate rows exactly the way StateFrame.extend does."""
@@ -89,35 +81,55 @@ class ReferenceMachine:
 
     # ------------------------------------------------------------------ kernels
 
-    def tick(self, tick: int, targets) -> None:
-        """One tick: identical semantics, one object at a time."""
+    def tick(self, tick: int, targets, costs=None) -> None:
+        """One tick: identical semantics, one call at a time."""
         targets = [int(t) for t in targets]
+        costs = [1.0] * len(targets) if costs is None else [float(c) for c in costs]
         self.ledger.issued += len(targets)
         # Classification happens against the band state at tick start,
-        # exactly like the engine's upfront mask.
-        escalated = [
-            t for t in targets if t in self.hot or self.objects[t].state != "bulk"
-        ]
-        bulk = [
-            t for t in targets if not (t in self.hot or self.objects[t].state != "bulk")
-        ]
-        arrivals = Counter(bulk)
-        for i, count in sorted(arrivals.items()):
-            obj = self.objects[i]
-            if self.per_tick_limit is not None:
-                served = min(count, self.per_tick_limit)
+        # exactly like the engine's upfront mask: nothing promotes until
+        # the escalated calls run, after admission and service.
+        escalated = []
+        refused = set()  # groups that shed a call this tick admit no more
+        for t, cost in zip(targets, costs, strict=True):
+            obj = self.objects[t]
+            if t in self.hot or obj.state != "bulk":
+                escalated.append(t)
+                continue
+            g = t if self.group == "row" else obj.host
+            if g not in refused and (
+                self.queue_cap is None or self.backlog(g) + cost <= self.queue_cap + EPS
+            ):
+                self.queues.setdefault(g, deque()).append(cost)
+                obj.value += 1
+                obj.calls += 1
+                self.class_calls[obj.klass] += 1
+                self.ledger.admitted += 1
             else:
-                served = count
-            shed = count - served
-            obj.value += served
-            obj.calls += served
-            obj.shed += shed
-            self.class_calls[obj.klass] += served
-            self.class_sheds[obj.klass] += shed
-            self.ledger.bulk_completed += served
-            self.ledger.shed += shed
+                refused.add(g)
+                obj.shed += 1
+                self.class_sheds[obj.klass] += 1
+                self.ledger.shed += 1
+        for g in sorted(self.queues):
+            self._serve(g)
         for t in escalated:
             self._escalated_call(t, tick)
+
+    def backlog(self, g: int) -> float:
+        """Group ``g``'s admitted, unserved work."""
+        return sum(self.queues.get(g, ()))
+
+    def _serve(self, g: int) -> None:
+        """Group ``g`` works through its queue, oldest call first."""
+        queue = self.queues[g]
+        budget = self.backlog(g)
+        if self.service is not None:
+            budget = min(budget, self.service)
+        while queue and queue[0] <= budget + EPS:
+            budget -= queue.popleft()
+            self.ledger.bulk_completed += 1
+        if queue:
+            queue[0] -= budget
 
     def _escalated_call(self, i: int, tick: int) -> None:
         obj = self.objects[i]

@@ -11,12 +11,14 @@ exact, deterministic function of ``(spec, seed, population)`` and makes
 rich-vs-mega agreement on per-frame arrival counts a property by
 construction (compare at scale 1).
 
-Accounting is exact: per tick, requests are admitted against a bounded
-per-target backlog (``QCAP_TICKS`` ticks of work), the excess is shed,
-privileged requests from unprivileged tenants are denied up front (the
-MayI gate, columnar form), and each target serves FIFO at one ms of
-work per ms.  The settled identity ``issued == denied + shed + served``
-holds after the drain, per target, per frame.
+Accounting is exact: privileged requests from unprivileged tenants are
+denied up front (the MayI gate, columnar form); the rest go through a
+:class:`~repro.megascale.engine.BulkEngine` with one frame row per
+target, each request costing its service time in ms.  Each target's
+carryover queue holds ``QCAP_TICKS`` ticks of work, the excess is shed,
+and the target serves FIFO at one ms of work per ms.  The settled
+identity ``issued == denied + shed + served`` holds after the drain, per
+target, per frame.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import json
 from typing import List, Sequence
 
 from repro.megascale.compat import require_numpy
+from repro.megascale.engine import QCAP_TICKS, BulkEngine
+from repro.megascale.frame import StateFrame
 
 try:  # optional ``repro[mega]`` extra
     import numpy as np
@@ -34,14 +38,6 @@ except ImportError:  # pragma: no cover - numpy-less installs only
 
 from .events import TickPlan, compile_events
 from .spec import ScenarioSpec
-
-#: A target's backlog is capped at this many ticks of work; beyond it,
-#: arrivals are shed (the columnar form of bounded admission queues).
-QCAP_TICKS = 4
-
-#: Sessions in one shard of the sharded-symmetry scaling model.
-BASE_SHARD_CALLERS = 1000
-
 
 def _cost(spec: ScenarioSpec, kind: str) -> float:
     if kind == "read":
@@ -112,112 +108,56 @@ def run_scenario_mega(
     frames = compile_frames(spec, plan)
     n_targets = frames["n_targets"]
     tick_ms = spec.tick_ms
-    qcap = QCAP_TICKS * tick_ms
 
     base_sessions = int(frames["first"].sum())
     scale = max(1, -(-population // max(1, base_sessions)))
+
+    # One row per target (tid); each target queues its own requests.
+    frame = StateFrame(n_classes=1, n_hosts=1)
+    frame.extend(n_targets, klass=0, host=0)
+    engine = BulkEngine(frame, queue_cap=QCAP_TICKS * tick_ms, service=tick_ms)
 
     time_arr, tid_arr = frames["time"], frames["tid"]
     cost_arr, denied_arr = frames["cost"], frames["denied"]
     tick_of = (time_arr // tick_ms).astype(np.int64)
     horizon = int(tick_of.max()) + 1 if len(tick_of) else len(plan)
+    bounds = np.searchsorted(tick_of, np.arange(horizon + 1))
 
-    backlog = np.zeros(n_targets)  # ms of admitted, unserved work
-    served_cum = np.zeros(n_targets)  # ms of work served so far
-    positions: List[List[float]] = [[] for _ in range(n_targets)]
-    served_ptr = [0] * n_targets
-    pos_end = np.zeros(n_targets)  # admitted-work watermark per target
-
-    issued = denied_n = shed_n = served_n = 0
+    issued = denied_n = 0
     frame_rows: List[dict] = []
     peak_backlog = 0.0
 
-    def serve_one_tick() -> int:
-        nonlocal served_n
-        served_now = np.minimum(backlog, tick_ms)
-        backlog[:] = backlog - served_now
-        served_cum[:] = served_cum + served_now
-        done = 0
-        for t in range(n_targets):
-            pos, ptr = positions[t], served_ptr[t]
-            limit = served_cum[t] + 1e-9
-            while ptr < len(pos) and pos[ptr] <= limit:
-                ptr += 1
-                done += 1
-            served_ptr[t] = ptr
-        served_n += done
-        return done
-
-    start = 0
-    for k in range(horizon):
-        stop = start
-        while stop < len(tick_of) and tick_of[stop] == k:
-            stop += 1
-        tids_k = tid_arr[start:stop]
-        costs_k = cost_arr[start:stop]
-        denied_k = denied_arr[start:stop]
-        start = stop
-
-        issued += len(tids_k)
-        denied_tick = int(denied_k.sum())
-        denied_n += denied_tick
-        live = ~denied_k
-        tids_live, costs_live = tids_k[live], costs_k[live]
-
-        # Admission cut: per target, admit FIFO while backlog stays
-        # under the cap; the vectorised segment-cumsum form.
-        if len(tids_live):
-            order = np.argsort(tids_live, kind="stable")
-            t_sorted, c_sorted = tids_live[order], costs_live[order]
-            cum = np.cumsum(c_sorted)
-            seg_start = np.flatnonzero(
-                np.r_[True, t_sorted[1:] != t_sorted[:-1]]
-            )
-            seg_base = np.repeat(
-                np.r_[0.0, cum[seg_start[1:] - 1]], np.diff(np.r_[seg_start, len(cum)])
-            )
-            within = cum - seg_base  # cumulative new work per target
-            admit_sorted = backlog[t_sorted] + within <= qcap + 1e-9
-            shed_tick = int((~admit_sorted).sum())
-            shed_n += shed_tick
-            adm_t = t_sorted[admit_sorted]
-            adm_c = c_sorted[admit_sorted]
-            np.add.at(backlog, adm_t, adm_c)
-            for t, c in zip(adm_t.tolist(), adm_c.tolist()):
-                pos_end[t] += c
-                positions[t].append(pos_end[t])
-        else:
-            shed_tick = 0
-
-        peak_backlog = max(peak_backlog, float(backlog.max()) if n_targets else 0.0)
-        done = serve_one_tick()
+    def run_tick(k: int, tids_k, costs_k, denied_tick: int) -> None:
+        nonlocal peak_backlog
+        out = engine.tick(k, tids_k, costs_k)
+        queued = engine.backlog + out.served_work  # before this tick's service
+        peak_backlog = max(peak_backlog, float(queued.max()))
         frame_rows.append(
             {
                 "tick": k,
-                "issued": len(tids_k),
+                "issued": len(tids_k) + denied_tick,
                 "denied": denied_tick,
-                "shed": shed_tick,
-                "served": done,
-                "backlog_ms": round(float(backlog.sum()), 4),
+                "shed": out.shed,
+                "served": out.bulk_served,
+                "backlog_ms": round(float(engine.backlog.sum()), 4),
             }
         )
+
+    for k in range(horizon):
+        tick_slice = slice(bounds[k], bounds[k + 1])
+        denied_k = denied_arr[tick_slice]
+        live = ~denied_k
+        issued += int(denied_k.size)
+        denied_n += int(denied_k.sum())
+        run_tick(k, tid_arr[tick_slice][live], cost_arr[tick_slice][live], int(denied_k.sum()))
 
     drain_ticks = 0
-    while float(backlog.sum()) > 1e-9:
-        done = serve_one_tick()
+    while float(engine.backlog.sum()) > 1e-9:
+        run_tick(horizon + drain_ticks, [], [], 0)
         drain_ticks += 1
-        frame_rows.append(
-            {
-                "tick": horizon + drain_ticks - 1,
-                "issued": 0,
-                "denied": 0,
-                "shed": 0,
-                "served": done,
-                "backlog_ms": round(float(backlog.sum()), 4),
-            }
-        )
 
-    settled = issued == denied_n + shed_n + served_n
+    ledger = engine.ledger
+    settled = issued == denied_n + ledger.shed + ledger.bulk_completed
     report = {
         "scenario": spec.name,
         "population": base_sessions * scale,
@@ -227,8 +167,8 @@ def run_scenario_mega(
         "drain_ticks": drain_ticks,
         "issued": issued * scale,
         "denied": denied_n * scale,
-        "shed": shed_n * scale,
-        "served": served_n * scale,
+        "shed": ledger.shed * scale,
+        "served": ledger.bulk_completed * scale,
         "settled": settled,
         "peak_target_backlog_ms": round(peak_backlog, 4),
         "frames": frame_rows,
@@ -238,4 +178,3 @@ def run_scenario_mega(
     ).hexdigest()
     report["checksum"] = digest[:16]
     return report
-

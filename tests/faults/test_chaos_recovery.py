@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.runtime import RetryPolicy
+from repro.errors import LegionError
 from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
@@ -136,6 +137,36 @@ class TestHostCrash:
             _sweep_all(system)
         # The checkpoint OPR must survive being consumed by the first
         # reactivation, or the second one would lose the state.
+        assert system.call(binding.loid, "Get") == 9
+
+    def test_checkpoint_survives_a_failed_class_notification(self):
+        system, cls = _build()
+        binding, host_id = _instance_on_crashable_host(system, cls)
+        system.call(binding.loid, "Increment", 9)
+        magistrate_loid = _checkpoint(system, cls, binding)
+        (magistrate,) = [
+            m.impl for m in system.magistrates.values() if m.loid == magistrate_loid
+        ]
+        notify = magistrate._notify_class
+
+        def unreachable_class(record, method, *args, env):
+            if method == "NoteActivated":
+                raise LegionError("class unreachable")
+            yield from notify(record, method, *args, env=env)
+
+        driver = ChaosDriver(system, FaultPlan(), FaultLog())
+        driver.start()
+        # The recovery's Activate succeeds, then the class notification
+        # fails: the object runs again, but the recovery raised.
+        magistrate._notify_class = unreachable_class
+        driver.crash_host(host_id)
+        _sweep_all(system)
+        magistrate._notify_class = notify
+        second_host = _find_host(system, binding.loid)
+        assert second_host in set(eligible_hosts(system)), "needs a crashable host"
+        driver.crash_host(second_host)
+        _sweep_all(system)
+        # The second reactivation must still start from the checkpoint.
         assert system.call(binding.loid, "Get") == 9
 
 

@@ -15,7 +15,7 @@ from repro.errors import LegionError
 from repro.experiments import e9_scaling
 from repro.experiments.common import RunConfig
 from repro.experiments.runner import run_experiment, run_one
-from repro.megascale.adapters import e9_mega_sizes
+from repro.experiments.e9_scaling import e9_mega_sizes
 
 MEGA = 20_000  # ladder: [10_000, 20_000] under the LADDER_FLOOR
 

@@ -137,3 +137,35 @@ class TestStateFrame:
 
     def test_checksum_empty_frame_is_zero(self):
         assert StateFrame(n_classes=1, n_hosts=1).value_checksum() == 0
+
+
+class TestBulkEngineQueues:
+    def test_host_queue_carries_backlog_and_serves_fifo(self):
+        frame = make_frame()
+        engine = BulkEngine(frame, group="host", queue_cap=3, service=2)
+        # Rows 0, 4 and 8 share host 0: four calls, the cap admits three.
+        out = engine.tick(0, [0, 4, 8, 0])
+        assert (out.admitted, out.shed, out.bulk_served) == (3, 1, 2)
+        assert [int(x) for x in frame.shed[[0, 4, 8]]] == [1, 0, 0]
+        assert [float(x) for x in engine.backlog] == [1.0, 0.0, 0.0, 0.0]
+        out = engine.tick(1, [])
+        assert (out.issued, out.bulk_served) == (0, 1)
+        assert engine.settled()
+
+    def test_costed_calls_complete_once_the_work_ahead_is_served(self):
+        engine = BulkEngine(make_frame(), queue_cap=10.0, service=2.0)
+        assert engine.tick(0, [1, 1], [1.5, 1.5]).bulk_served == 1
+        assert engine.tick(1, [], []).bulk_served == 1
+        assert engine.settled()
+
+    def test_invalid_admission_inputs_are_rejected(self):
+        with pytest.raises(LegionError, match="group"):
+            BulkEngine(make_frame(), group="site")
+        engine = BulkEngine(make_frame(), queue_cap=4, service=1)
+        with pytest.raises(LegionError, match="costs must match"):
+            engine.tick(0, [1, 2], [1.0])
+        engine.tick(0, [1, 1])  # one unit-cost call stays queued
+        with pytest.raises(LegionError, match="cannot share a queue"):
+            engine.tick(1, [1], [0.5])
+        with pytest.raises(LegionError, match="whole-number service"):
+            BulkEngine(make_frame(), service=1.5).tick(0, [1])

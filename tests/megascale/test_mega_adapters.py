@@ -8,12 +8,10 @@ for CI, asserting the same invariants the experiment checks gate on at
 
 import pytest
 
-from repro.megascale.adapters import (
-    MEGA_QCAP_TICKS,
-    run_e9_mega_unit,
-    run_mega_autoscale,
-    run_mega_overload,
-)
+from repro.experiments.e9_scaling import run_e9_mega_unit
+from repro.experiments.e14_autoscale import run_mega_autoscale
+from repro.experiments.e15_overload import run_mega_overload
+from repro.megascale.engine import QCAP_TICKS as MEGA_QCAP_TICKS
 
 
 class TestE9MegaUnit:

@@ -1,7 +1,9 @@
 """Property-based tests over the columnar mega-scale kernels.
 
-Hypothesis sweeps random (seed, population, admission limit, hot set)
-scenarios; for each one:
+Hypothesis sweeps random (seed, population, admission model, hot set)
+scenarios -- the admission model being either a per-row ``per_tick_limit``
+or a carryover queue per row or per host with its own cap and service,
+fed unit-cost or float-cost calls; for each one:
 
 * the frame-at-once :class:`BulkEngine` kernels must land on *exactly*
   the state the numpy-free per-agent :class:`ReferenceMachine` reaches --
@@ -36,13 +38,17 @@ scenarios = st.fixed_dictionaries(
         "ticks": st.integers(1, 8),
         "per_tick": st.integers(0, 300),
         "limit": st.one_of(st.none(), st.integers(1, 4)),
+        "group": st.sampled_from(["row", "host"]),
+        "cap": st.one_of(st.none(), st.integers(1, 12)),
+        "service": st.one_of(st.none(), st.integers(1, 6)),
+        "costed": st.booleans(),
         "n_hot": st.integers(0, 4),
         "crash": st.booleans(),
     }
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(cfg=scenarios)
 def test_frame_kernels_match_the_per_agent_reference(cfg):
     rng = np.random.default_rng(cfg["seed"])
@@ -51,37 +57,58 @@ def test_frame_kernels_match_the_per_agent_reference(cfg):
     klass = rng.integers(0, cfg["n_classes"], size=n).astype(np.int32)
     host = rng.integers(0, cfg["n_hosts"], size=n).astype(np.int32)
 
+    # With a per_tick_limit the queue model comes from the limit alone.
+    model = {"per_tick_limit": cfg["limit"], "demote_after": 2}
+    if cfg["limit"] is None:
+        model.update(group=cfg["group"], queue_cap=cfg["cap"], service=cfg["service"])
+
     frame = StateFrame(n_classes=cfg["n_classes"], n_hosts=cfg["n_hosts"])
     frame.extend(n, klass=klass, host=host)
-    engine = BulkEngine(
-        frame, hot_ids=hot, per_tick_limit=cfg["limit"], demote_after=2
-    )
-    ref = ReferenceMachine(
-        cfg["n_classes"],
-        cfg["n_hosts"],
-        hot_ids=hot,
-        per_tick_limit=cfg["limit"],
-        demote_after=2,
-    )
+    engine = BulkEngine(frame, hot_ids=hot, **model)
+    ref = ReferenceMachine(cfg["n_classes"], cfg["n_hosts"], hot_ids=hot, **model)
     ref.extend(n, klass=klass, host=host)
+
+    def draw_costs(size):
+        # Quarter units: float costs whose sums are exact, so both
+        # machines compare work without rounding noise.
+        return rng.integers(1, 13, size=size) / 4.0 if cfg["costed"] else None
 
     crash_tick = cfg["ticks"] // 2 if cfg["crash"] else None
     for tick in range(cfg["ticks"]):
         targets = rng.integers(0, n, size=cfg["per_tick"])
-        engine.tick(tick, targets)
-        ref.tick(tick, targets)
+        costs = draw_costs(targets.size)
+        out = engine.tick(tick, targets, costs)
+        ref.tick(tick, targets, costs)
+        assert out.admitted + out.shed + out.escalated == out.issued
+        el, rl = engine.ledger, ref.ledger
+        assert (el.admitted, el.bulk_completed, el.shed) == (
+            rl.admitted,
+            rl.bulk_completed,
+            rl.shed,
+        )
+        assert [float(w) for w in engine.backlog] == [
+            ref.backlog(g) for g in range(engine.backlog.size)
+        ]
         if crash_tick is not None and tick == crash_tick:
             assert engine.crash_host(0) == ref.crash_host(0)
             engine.restore_host(0)
             ref.restore_host(0)
         engine.demote_idle(tick)
         ref.demote_idle(tick)
+    # Drain the carried queues: empty ticks still serve.
+    tick = cfg["ticks"]
+    while engine.backlog.any():
+        engine.tick(tick, [], draw_costs(0))
+        ref.tick(tick, [], draw_costs(0))
+        tick += 1
+    assert not any(ref.queues.values())
     engine.demote_all()
     ref.demote_all()
 
     el, rl = engine.ledger, ref.ledger
-    assert (el.issued, el.bulk_completed, el.escalated_completed, el.shed) == (
+    assert (el.issued, el.admitted, el.bulk_completed, el.escalated_completed, el.shed) == (
         rl.issued,
+        rl.admitted,
         rl.bulk_completed,
         rl.escalated_completed,
         rl.shed,
